@@ -17,6 +17,14 @@ permutation distribution.  The per-method statistics are
 with Sigma the empirical column correlation of the *observed* panel, which
 permutations of the response leave untouched.
 
+No statistic is computed here.  ``_stats_for_columns`` composes the batched
+kernels of ``core_stats`` (scores, p-values) and ``detectors`` (row-wise HC,
+correlation matrix, signed LCT, whitened QT and DT) and adds the orientation:
+|LCT|, since the public ``linear_combination_test`` is signed, and max |score|
+for MinP.  Entry points validate inputs once, with
+``core_stats.validated_inputs``, before ``_permuted_responses`` draws any
+permutation.
+
 Replicates draw fresh genotypes and fresh signal placements.  Each
 replicate's seeds derive from the master seed and the replicate index, so
 results are identical however replicates are split across workers.
@@ -31,22 +39,17 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import erfc
 from scipy.stats import rankdata
 
 from ._rng import TAG_GENE, TAG_PERMUTE, TAG_REPLICATE, TAG_TRAIT, derive_seed, substream
 from .boundary import beta_from_r, signal_count
-from .core_stats import P_FLOOR, GenotypeMatrix, Phenotype
-from .detectors import _hc_max_rows, cholesky_lower
+from .core_stats import _case_control, _correlations, _t_from_rho, _two_sided_p, _z_from_rho, validated_inputs
+from .detectors import _correlation_matrix, _hc_max_rows, _lct_columns, _whitened_stats, cholesky_lower
 from .errors import (
     BadSampleSizeError,
     ConfigError,
-    ConstantColumnError,
     DimensionMismatchError,
     EmptyGeneError,
-    MonomorphicColumnError,
-    NonPositiveQuadFormError,
     TooFewPermutationsError,
 )
 from .simgen import CoefficientScheme, LdSpec, SignalConfig, TraitModel, draw_signal_config, simulate_case_control, simulate_genotypes, simulate_quantitative
@@ -156,61 +159,38 @@ def _stats_for_columns(X: np.ndarray, Y: np.ndarray, trait_kind: str,
     X is the (n, L) panel shared by all columns; Y is (n, m).  Returns, per
     requested method, the m exceedance-oriented statistics.
     """
-    n, L = X.shape
+    n = X.shape[0]
     out: dict[str, np.ndarray] = {}
-
     if trait_kind == "quantitative":
-        if np.any(X.max(axis=0) == X.min(axis=0)):
-            raise ConstantColumnError(int(np.flatnonzero(X.max(axis=0) == X.min(axis=0))[0]))
-        Xc = X - X.mean(axis=0)
-        xnorm = np.sqrt(np.einsum("ij,ij->j", Xc, Xc))
-        Yc = Y - Y.mean(axis=0)
-        ynorm = np.sqrt(np.einsum("ij,ij->j", Yc, Yc))
-        rho = (Xc.T @ Yc) / (xnorm[:, None] * ynorm[None, :])
-        np.clip(rho, -1.0, 1.0, out=rho)
-        scores = np.sqrt(n - 2.0) * rho / np.sqrt(1.0 - rho * rho)  # t scale, (L, m)
+        rho = _correlations(X, Y)
+        scores = _t_from_rho(rho, n)  # (L, m)
         if "HCm" in needs:
-            z = np.sqrt(n - 1.0) * rho
-            out["HCm"] = _hc_max_rows(erfc(np.abs(z.T) / np.sqrt(2.0)))
+            out["HCm"] = _hc_max_rows(_two_sided_p(_z_from_rho(rho, n).T))
     else:
-        labels = Y
-        n_case = float(labels[:, 0].sum())
-        n_control = n - n_case
-        if n_case == 0 or n_control == 0:
-            raise DimensionMismatchError("label columns must contain both groups")
-        p_all = X.mean(axis=0) / 2.0
-        mono = (p_all == 0.0) | (p_all == 1.0)
-        if np.any(mono):
-            raise MonomorphicColumnError(int(np.flatnonzero(mono)[0]))
-        p_case = (X.T @ labels) / (2.0 * n_case)
-        p_control = (X.T @ (1.0 - labels)) / (2.0 * n_control)
-        m_eff = 2.0 / (1.0 / n_case + 1.0 / n_control)
-        scores = np.sqrt(m_eff) * (p_case - p_control) / np.sqrt(2.0 * p_all * (1.0 - p_all))[:, None]
-
+        scores = _case_control(X, Y)
     if "HC" in needs:
-        out["HC"] = _hc_max_rows(erfc(np.abs(scores.T) / np.sqrt(2.0)))
+        out["HC"] = _hc_max_rows(_two_sided_p(scores.T))
     if "MinP" in needs:
         out["MinP"] = np.abs(scores).max(axis=0)
-
     if needs & {"LCT", "QT", "DT"}:
-        sigma_hat = np.corrcoef(X, rowvar=False)
-        sigma_hat = np.atleast_2d(sigma_hat)
-        np.clip(sigma_hat, -1.0, 1.0, out=sigma_hat)
-        np.fill_diagonal(sigma_hat, 1.0)
+        sigma_hat = _correlation_matrix(X)
         if "LCT" in needs:
-            denom = float(sigma_hat.sum())
-            if denom <= 0.0:
-                raise NonPositiveQuadFormError(f"aggregate variance {denom!r} is not positive")
-            out["LCT"] = np.abs(scores.sum(axis=0)) / np.sqrt(denom)
+            out["LCT"] = np.abs(_lct_columns(scores, sigma_hat))
         if needs & {"QT", "DT"}:
-            low = cholesky_lower(sigma_hat)
-            w = solve_triangular(low, scores, lower=True)
-            if "QT" in needs:
-                out["QT"] = np.einsum("ij,ij->j", w, w)
-            if "DT" in needs:
-                p = np.maximum(erfc(np.abs(w) / np.sqrt(2.0)), P_FLOOR)
-                out["DT"] = -2.0 * np.log(p).sum(axis=0)
+            out.update(_whitened_stats(scores, cholesky_lower(sigma_hat), needs))
     return out
+
+
+def _permuted_responses(y: np.ndarray, n_perms: int, seed: int) -> np.ndarray:
+    """(n, 1 + n_perms) matrix: y, then n_perms permutations of it drawn from
+    the permutation stream of ``seed``."""
+    n = y.size
+    Y = np.empty((n, 1 + n_perms))
+    Y[:, 0] = y
+    perm_rng = substream(seed, TAG_PERMUTE)
+    for i in range(n_perms):
+        Y[:, 1 + i] = y[perm_rng.permutation(n)]
+    return Y
 
 
 def _zero_signal(L: int) -> SignalConfig:
@@ -239,12 +219,7 @@ def _replicate_stats(scenario: Scenario, needs: frozenset[str], rep_seed: int,
                                          scenario.trait.n_control, seed=rep_seed, L=L)
         y = pheno.values
 
-    n = y.size
-    Y = np.empty((n, 1 + n_perms))
-    Y[:, 0] = y
-    perm_rng = substream(rep_seed, TAG_PERMUTE)
-    for i in range(n_perms):
-        Y[:, 1 + i] = y[perm_rng.permutation(n)]
+    Y = _permuted_responses(y, n_perms, rep_seed)
     return _stats_for_columns(X.entries, Y, scenario.trait_kind, needs)
 
 
@@ -274,19 +249,10 @@ def permutation_cutoff(method: str | MethodId, X, y, n_perms: int, level: float,
     if n_perms < 20.0 / level:
         raise TooFewPermutationsError(
             f"need at least {int(np.ceil(20.0 / level))} permutations at level {level}, got {n_perms}")
-    Xa = X.entries if isinstance(X, GenotypeMatrix) else np.asarray(X, dtype=np.float64)
-    if isinstance(y, Phenotype):
-        kind, yv = y.kind, y.values
-    else:
-        yv = np.asarray(y, dtype=np.float64).ravel()
-        kind = "quantitative"
+    Xa, yv, kind = validated_inputs(X, y)
     m = _as_methods([method], kind)[0]
-    perm_rng = substream(seed, TAG_PERMUTE)
-    n = yv.size
-    Y = np.empty((n, n_perms))
-    for i in range(n_perms):
-        Y[:, i] = yv[perm_rng.permutation(n)]
-    nulls = _stats_for_columns(Xa, Y, kind, frozenset({m.name}))[m.name]
+    Y = _permuted_responses(yv, n_perms, seed)
+    nulls = _stats_for_columns(Xa, Y, kind, frozenset({m.name}))[m.name][1:]
     return _pooled_cutoff(nulls, level)
 
 
@@ -416,9 +382,7 @@ def _fdr_chunk(scenario: Scenario, needs: tuple[str, ...], seed: int,
                                          scenario.base_beta, seed=gene_seed)
                 genetic += Xg.entries @ cfg.beta
         y = genetic + scenario.trait.sigma * substream(rep_seed, TAG_TRAIT).standard_normal(n)
-        Y = np.empty((n, 2))
-        Y[:, 0] = y
-        Y[:, 1] = y[substream(rep_seed, TAG_PERMUTE).permutation(n)]
+        Y = _permuted_responses(y, 1, rep_seed)
         for g in range(n_genes):
             stats = _stats_for_columns(panels[g], Y, "quantitative", fs)
             for name in needs:
@@ -498,7 +462,7 @@ class GeneRanking:
         return {m: float(self.ranks[mi, idx].mean()) for mi, m in enumerate(self.methods)}
 
 
-def _rank_chunk(X: np.ndarray, Y: np.ndarray, gene_slices: tuple, trait_kind: str,
+def _gene_chunk(X: np.ndarray, Y: np.ndarray, gene_slices: tuple, trait_kind: str,
                 needs: tuple[str, ...], lo: int, hi: int) -> dict[str, np.ndarray]:
     fs = frozenset(needs)
     out = {name: np.empty((hi - lo, Y.shape[1])) for name in needs}
@@ -508,6 +472,34 @@ def _rank_chunk(X: np.ndarray, Y: np.ndarray, gene_slices: tuple, trait_kind: st
         for name in needs:
             out[name][gi - lo] = stats[name]
     return out
+
+
+def _gene_columns(genes: Sequence[tuple[str, Sequence[int]]],
+                  n_cols: int) -> tuple[tuple[str, ...], tuple[np.ndarray, ...]]:
+    """Gene names and their validated column indices into an n_cols-wide panel."""
+    names: list[str] = []
+    slices: list[np.ndarray] = []
+    for name, idx in genes:
+        ia = np.asarray(idx, dtype=np.int64)
+        if ia.size == 0:
+            raise EmptyGeneError(str(name))
+        if np.any(ia < 0) or np.any(ia >= n_cols):
+            raise DimensionMismatchError(f"gene {name!r} has column indices outside the panel")
+        names.append(str(name))
+        slices.append(ia)
+    if not names:
+        raise EmptyGeneError("<none>", "no gene sets given")
+    return tuple(names), tuple(slices)
+
+
+def gene_set_statistics(genes: Sequence[tuple[str, Sequence[int]]], X, y,
+                        methods: Sequence[str | MethodId]) -> dict[str, np.ndarray]:
+    """Observed statistic of every gene set, per method, oriented as in ranking."""
+    Xa, yv, kind = validated_inputs(X, y)
+    needs = tuple(m.name for m in _as_methods(methods, kind))
+    names, slices = _gene_columns(genes, Xa.shape[1])
+    stats = _gene_chunk(Xa, yv[:, None], slices, kind, needs, 0, len(names))
+    return {name: stats[name][:, 0] for name in needs}
 
 
 def rank_gene_sets(genes: Sequence[tuple[str, Sequence[int]]], X, y,
@@ -521,45 +513,18 @@ def rank_gene_sets(genes: Sequence[tuple[str, Sequence[int]]], X, y,
     """
     if n_perms < 100:
         raise TooFewPermutationsError(f"need n_perms >= 100, got {n_perms}")
-    Xa = X.entries if isinstance(X, GenotypeMatrix) else np.asarray(X, dtype=np.float64)
-    if isinstance(y, Phenotype):
-        kind, yv = y.kind, y.values
-    else:
-        yv = np.asarray(y, dtype=np.float64).ravel()
-        kind = "quantitative"
-    if yv.size != Xa.shape[0]:
-        raise DimensionMismatchError(f"response length {yv.size} != {Xa.shape[0]} rows")
-    ms = _as_methods(methods, kind)
-
-    names: list[str] = []
-    slices: list[np.ndarray] = []
-    for name, idx in genes:
-        ia = np.asarray(idx, dtype=np.int64)
-        if ia.size == 0:
-            raise EmptyGeneError(str(name))
-        if np.any(ia < 0) or np.any(ia >= Xa.shape[1]):
-            raise DimensionMismatchError(f"gene {name!r} has column indices outside the panel")
-        names.append(str(name))
-        slices.append(ia)
-    if not names:
-        raise EmptyGeneError("<none>", "no gene sets given")
-
-    n = yv.size
-    Y = np.empty((n, 1 + n_perms))
-    Y[:, 0] = yv
-    perm_rng = substream(seed, TAG_PERMUTE)
-    for i in range(n_perms):
-        Y[:, 1 + i] = yv[perm_rng.permutation(n)]
-
-    needs = tuple(m.name for m in ms)
-    chunks = _run_chunked(_rank_chunk, len(names), workers, Xa, Y, tuple(slices), kind, needs)
-    pvals = np.empty((len(ms), len(names)))
-    for mi, m in enumerate(ms):
-        stats = np.concatenate([c[m.name] for c in chunks], axis=0)  # (genes, 1 + n_perms)
+    Xa, yv, kind = validated_inputs(X, y)
+    needs = tuple(m.name for m in _as_methods(methods, kind))
+    names, slices = _gene_columns(genes, Xa.shape[1])
+    Y = _permuted_responses(yv, n_perms, seed)
+    chunks = _run_chunked(_gene_chunk, len(names), workers, Xa, Y, slices, kind, needs)
+    pvals = np.empty((len(needs), len(names)))
+    for mi, m in enumerate(needs):
+        stats = np.concatenate([c[m] for c in chunks], axis=0)  # (genes, 1 + n_perms)
         exceed = (stats[:, 1:] >= stats[:, [0]]).sum(axis=1)
         pvals[mi] = (1.0 + exceed) / (1.0 + n_perms)
-    ranks = np.vstack([rankdata(pvals[mi], method="average") for mi in range(len(ms))])
-    return GeneRanking(genes=tuple(names), sizes=tuple(int(s.size) for s in slices),
+    ranks = np.vstack([rankdata(pvals[mi], method="average") for mi in range(len(needs))])
+    return GeneRanking(genes=names, sizes=tuple(int(s.size) for s in slices),
                        methods=needs, pvalues=pvals, ranks=ranks, n_perms=n_perms, seed=seed)
 
 

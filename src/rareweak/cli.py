@@ -42,12 +42,13 @@ from .bench import (
     empirical_power,
     fdr_curve,
     fdr_table_csv,
+    gene_set_statistics,
     power_table_csv,
     rank_gene_sets,
     ranking_csv,
 )
 from .boundary import ArwScenario, boundary_curve
-from .core_stats import GenotypeMatrix, Phenotype
+from .core_stats import GenotypeMatrix, Phenotype, marginal_stats
 from .errors import (
     AllColumnsDroppedError,
     ConfigError,
@@ -659,9 +660,6 @@ def _all_header_ids(loaded: LoadedGenotypes) -> tuple[str, ...]:
 
 
 def _cmd_score(cfg: Config, out_dir: Path, seed: int, workers: int) -> list[Path]:
-    from .bench import _as_methods, _stats_for_columns
-    from .core_stats import marginal_stats
-
     loaded, pheno, trait_kind = _load_panel(cfg)
     stat_kind = "t" if trait_kind == "quantitative" else "d"
     marg = marginal_stats(loaded.matrix, pheno, stat_kind)
@@ -671,19 +669,16 @@ def _cmd_score(cfg: Config, out_dir: Path, seed: int, workers: int) -> list[Path
     artifacts = [_write_artifact(out_dir, "marginals",
                                  csv_text(("snp", "statistic", "pvalue"), marg_rows), meta)]
 
-    methods = [m.name for m in _as_methods(_methods_from_cfg(cfg, trait_kind), trait_kind)]
     if cfg.has("io.gene_map"):
         gm = load_gene_map(cfg.get("io.gene_map"), loaded.snp_ids, _all_header_ids(loaded))
         gene_list = gm.as_sequences()
     else:
         gene_list = [("all", np.arange(loaded.matrix.n_snps, dtype=np.int64))]
-    needs = frozenset(methods)
-    rows = []
-    Y = pheno.values[:, None]
-    for name, idx in gene_list:
-        stats = _stats_for_columns(loaded.matrix.entries[:, idx], Y, trait_kind, needs)
-        rows.append([name, idx.size] + [float(stats[m][0]) for m in methods])
-    header = ["gene", "snps"] + [f"stat_{m}" for m in methods]
+    stats = gene_set_statistics(gene_list, loaded.matrix, pheno,
+                                _methods_from_cfg(cfg, trait_kind))
+    rows = [[name, idx.size] + [float(stats[m][gi]) for m in stats]
+            for gi, (name, idx) in enumerate(gene_list)]
+    header = ["gene", "snps"] + [f"stat_{m}" for m in stats]
     artifacts.append(_write_artifact(out_dir, "set_statistics", csv_text(header, rows), meta))
     return artifacts
 

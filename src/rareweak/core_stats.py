@@ -13,6 +13,11 @@ genotype panel to one score per column.  Four scores are provided:
   the z scale, for binary traits.
 
 Scores are mapped to p-values by the two-sided standard normal tail.
+
+Each score has one implementation, a private kernel batched over the columns
+of an (n, m) response matrix; the permutation benchmarks call it with every
+permuted response at once, the public functions here with m = 1.  Inputs are
+checked once, at entry, by ``validated_inputs``.
 """
 
 from __future__ import annotations
@@ -131,46 +136,100 @@ class MarginalStats:
 
 
 # ---------------------------------------------------------------------------
-# helpers
+# entry validation
 
 
-def _as_genotype_array(X) -> np.ndarray:
-    if isinstance(X, GenotypeMatrix):
-        return X.entries
-    a = np.asarray(X, dtype=np.float64)
-    if a.ndim != 2:
-        raise DimensionMismatchError(f"genotype array must be 2-D, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise NonFiniteInputError("genotype array contains non-finite values")
-    return a
+def as_genotype_matrix(X) -> GenotypeMatrix:
+    """X itself when it is a GenotypeMatrix, else a validated one built from it."""
+    return X if isinstance(X, GenotypeMatrix) else GenotypeMatrix(entries=X)
 
 
-def _as_response_array(y, n: int) -> np.ndarray:
-    if isinstance(y, Phenotype):
-        v = y.values
-    else:
-        v = np.asarray(y, dtype=np.float64).ravel()
-        if not np.all(np.isfinite(v)):
-            raise NonFiniteInputError("response contains non-finite values")
-    if v.size != n:
-        raise DimensionMismatchError(f"response length {v.size} != sample count {n}")
-    return v
+def validated_inputs(X, y, kind: TraitKind | None = None,
+                     varying: bool = True) -> tuple[np.ndarray, np.ndarray, TraitKind]:
+    """The one entry check of a panel and a response; returns (entries, values, kind).
 
-
-def _centered_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Centred copy of X and per-column Euclidean norms; flags constants.
-
-    Constancy is detected by max == min, which is exact, rather than by a
-    tolerance on the centred norm.
+    Raw arrays go through ``GenotypeMatrix`` and ``Phenotype``; a raw y takes
+    ``kind`` (quantitative by default), a Phenotype must match ``kind`` when
+    one is given.  With ``varying`` the response must carry information: a
+    quantitative one must not be constant, a binary one must hold both groups.
     """
-    col_min = X.min(axis=0)
-    col_max = X.max(axis=0)
-    constant = col_max == col_min
+    Xa = as_genotype_matrix(X).entries
+    if not isinstance(y, Phenotype):
+        y = Phenotype(values=y, kind=kind or "quantitative")
+    elif kind is not None and y.kind != kind:
+        raise EmptyGroupError(f"need a {kind} phenotype, got a {y.kind} one")
+    v = y.values
+    if v.size != Xa.shape[0]:
+        raise DimensionMismatchError(f"response length {v.size} != sample count {Xa.shape[0]}")
+    if varying:
+        if y.kind == "binary":
+            _group_sizes(v)
+        elif v.max() == v.min():
+            raise ConstantColumnError(-1, "response is constant")
+    return Xa, v, y.kind
+
+
+def require_varying_columns(X: np.ndarray):
+    """Reject the first constant column, found exactly by max == min."""
+    constant = X.max(axis=0) == X.min(axis=0)
     if np.any(constant):
         raise ConstantColumnError(int(np.flatnonzero(constant)[0]))
+
+
+def _group_sizes(labels: np.ndarray) -> tuple[float, float]:
+    """(cases, controls) of a 0/1 label vector; both must be non-empty."""
+    n_case = float(labels.sum())
+    n_control = labels.size - n_case
+    if n_case == 0 or n_control == 0:
+        raise EmptyGroupError(f"need both groups non-empty, got {n_case:g} cases / {n_control:g} controls")
+    return n_case, n_control
+
+
+# ---------------------------------------------------------------------------
+# batched kernel: an (n, L) panel against (n, m) responses gives (L, m) scores.
+# Inputs are trusted; the public functions below validate them, then call it.
+
+
+def _centred_cross(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centred-column cross-products Xc' Y and the centred column norms."""
+    require_varying_columns(X)
     Xc = X - X.mean(axis=0)
-    norms = np.sqrt(np.einsum("ij,ij->j", Xc, Xc))
-    return Xc, norms
+    return Xc.T @ Y, np.sqrt(np.einsum("ij,ij->j", Xc, Xc))
+
+
+def _correlations(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Sample correlations, clipped into [-1, 1]."""
+    Yc = Y - Y.mean(axis=0)
+    ynorm = np.sqrt(np.einsum("ij,ij->j", Yc, Yc))
+    cross, xnorm = _centred_cross(X, Yc)
+    rho = cross / (xnorm[:, None] * ynorm[None, :])
+    np.clip(rho, -1.0, 1.0, out=rho)
+    return rho
+
+
+def _z_from_rho(rho: np.ndarray, n: int) -> np.ndarray:
+    return np.sqrt(n - 1.0) * rho
+
+
+def _t_from_rho(rho: np.ndarray, n: int) -> np.ndarray:
+    return np.sqrt(n - 2.0) * rho / np.sqrt(1.0 - rho * rho)
+
+
+def _case_control(X: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Case/control frequency contrasts on the z scale (see case_control_zscores)."""
+    n_case, n_control = _group_sizes(labels[:, 0])
+    p_all = X.mean(axis=0) / 2.0
+    mono = (p_all == 0.0) | (p_all == 1.0)
+    if np.any(mono):
+        raise MonomorphicColumnError(int(np.flatnonzero(mono)[0]))
+    p_case = (X.T @ labels) / (2.0 * n_case)
+    p_control = (X.T @ (1.0 - labels)) / (2.0 * n_control)
+    m_eff = 2.0 / (1.0 / n_case + 1.0 / n_control)
+    return np.sqrt(m_eff) * (p_case - p_control) / np.sqrt(2.0 * p_all * (1.0 - p_all))[:, None]
+
+
+def _two_sided_p(s: np.ndarray) -> np.ndarray:
+    return np.maximum(erfc(np.abs(s) / np.sqrt(2.0)), P_FLOOR)
 
 
 def normal_sf(x) -> np.ndarray | float:
@@ -184,14 +243,8 @@ def normal_sf(x) -> np.ndarray | float:
 
 def marginal_correlations(X, y) -> np.ndarray:
     """Sample correlation between each column of X and the response."""
-    Xa = _as_genotype_array(X)
-    ya = _as_response_array(y, Xa.shape[0])
-    if ya.max() == ya.min():
-        raise ConstantColumnError(-1, "response is constant")
-    Xc, norms = _centered_columns(Xa)
-    yc = ya - ya.mean()
-    rho = (Xc.T @ yc) / (norms * np.sqrt(yc @ yc))
-    return np.clip(rho, -1.0, 1.0)
+    Xa, ya, _ = validated_inputs(X, y)
+    return _correlations(Xa, ya[:, None])[:, 0]
 
 
 def zscores_known_sigma(X, y, sigma: float) -> np.ndarray:
@@ -202,10 +255,9 @@ def zscores_known_sigma(X, y, sigma: float) -> np.ndarray:
     """
     if not np.isfinite(sigma) or sigma <= 0.0:
         raise NonPositiveSigmaError(f"sigma must be positive, got {sigma!r}")
-    Xa = _as_genotype_array(X)
-    ya = _as_response_array(y, Xa.shape[0])
-    Xc, norms = _centered_columns(Xa)
-    return (Xc.T @ ya) / (sigma * norms)
+    Xa, ya, _ = validated_inputs(X, y, varying=False)
+    cross, norms = _centred_cross(Xa, ya[:, None])
+    return cross[:, 0] / (sigma * norms)
 
 
 def zscores_from_correlation(rho, n: int) -> np.ndarray:
@@ -218,7 +270,7 @@ def zscores_from_correlation(rho, n: int) -> np.ndarray:
     if np.any(np.abs(r) > 1.0):
         raise DegenerateCorrelationError(int(np.flatnonzero(np.abs(r) > 1.0)[0]),
                                          "correlations must lie in [-1, 1]")
-    return np.sqrt(n - 1.0) * r
+    return _z_from_rho(r, n)
 
 
 def tstats_from_correlation(rho, n: int) -> np.ndarray:
@@ -230,7 +282,7 @@ def tstats_from_correlation(rho, n: int) -> np.ndarray:
         raise NonFiniteInputError("correlations contain non-finite values")
     if np.any(np.abs(r) >= 1.0):
         raise DegenerateCorrelationError(int(np.flatnonzero(np.abs(r) >= 1.0)[0]))
-    return np.sqrt(n - 2.0) * r / np.sqrt(1.0 - r * r)
+    return _t_from_rho(r, n)
 
 
 def case_control_zscores(X, y) -> np.ndarray:
@@ -242,29 +294,8 @@ def case_control_zscores(X, y) -> np.ndarray:
 
         sqrt(m) * (p1 - p0) / sqrt(2 p (1 - p)).
     """
-    Xa = _as_genotype_array(X)
-    if isinstance(y, Phenotype):
-        if y.kind != "binary":
-            raise EmptyGroupError("case/control scores need a binary phenotype")
-        ya = _as_response_array(y, Xa.shape[0])
-    else:
-        ya = _as_response_array(y, Xa.shape[0])
-        if not np.all((ya == 0.0) | (ya == 1.0)):
-            raise NonFiniteInputError("binary response must contain only 0 and 1")
-    case = ya == 1.0
-    n_case = int(case.sum())
-    n_control = ya.size - n_case
-    if n_case == 0 or n_control == 0:
-        raise EmptyGroupError(f"need both groups non-empty, got {n_case} cases / {n_control} controls")
-
-    p_case = Xa[case].mean(axis=0) / 2.0
-    p_control = Xa[~case].mean(axis=0) / 2.0
-    p_all = Xa.mean(axis=0) / 2.0
-    mono = (p_all == 0.0) | (p_all == 1.0)
-    if np.any(mono):
-        raise MonomorphicColumnError(int(np.flatnonzero(mono)[0]))
-    m = 2.0 / (1.0 / n_case + 1.0 / n_control)
-    return np.sqrt(m) * (p_case - p_control) / np.sqrt(2.0 * p_all * (1.0 - p_all))
+    Xa, ya, _ = validated_inputs(X, y, kind="binary")
+    return _case_control(Xa, ya[:, None])[:, 0]
 
 
 def pvalues_two_sided(stats) -> np.ndarray:
@@ -276,23 +307,22 @@ def pvalues_two_sided(stats) -> np.ndarray:
     s = np.asarray(stats, dtype=np.float64)
     if not np.all(np.isfinite(s)):
         raise NonFiniteInputError("statistics contain non-finite values")
-    return np.maximum(erfc(np.abs(s) / np.sqrt(2.0)), P_FLOOR)
+    return _two_sided_p(s)
 
 
 def marginal_stats(X, y, kind: StatKind, sigma: float | None = None) -> MarginalStats:
     """One-call bundle: scores of the requested kind plus their p-values."""
-    Xa = _as_genotype_array(X)
-    n = Xa.shape[0]
+    G = as_genotype_matrix(X)
     if kind == "r_sigma":
         if sigma is None:
             raise NonPositiveSigmaError("kind 'r_sigma' needs an explicit sigma")
-        values = zscores_known_sigma(Xa, y, sigma)
+        values = zscores_known_sigma(G, y, sigma)
     elif kind == "r":
-        values = zscores_from_correlation(marginal_correlations(Xa, y), n)
+        values = zscores_from_correlation(marginal_correlations(G, y), G.n)
     elif kind == "t":
-        values = tstats_from_correlation(marginal_correlations(Xa, y), n)
+        values = tstats_from_correlation(marginal_correlations(G, y), G.n)
     elif kind == "d":
-        values = case_control_zscores(Xa, y)
+        values = case_control_zscores(G, y)
     else:
         raise DimensionMismatchError(f"unknown statistic kind {kind!r}")
     return MarginalStats(kind=kind, values=values, pvalues=pvalues_two_sided(values))

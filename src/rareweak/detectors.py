@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -28,12 +28,11 @@ from scipy.linalg.lapack import dpotrf
 from scipy.special import erfc
 
 from .boundary import detection_boundary
-from .core_stats import P_FLOOR, normal_sf
+from .core_stats import _two_sided_p, as_genotype_matrix, require_varying_columns
 from .errors import (
     AlphaOutOfRangeError,
     BadRangeError,
     BadSampleSizeError,
-    ConstantColumnError,
     DegenerateGridPointError,
     DimensionMismatchError,
     EmptyGridError,
@@ -227,21 +226,19 @@ class EmpiricalCorrelation:
         return self.matrix.shape[0]
 
 
-def empirical_correlation(X) -> EmpiricalCorrelation:
-    """Pearson correlations among the columns of a panel."""
-    from .core_stats import _as_genotype_array  # shared validation
-
-    Xa = _as_genotype_array(X)
-    if Xa.shape[0] < 2:
-        raise BadSampleSizeError(f"need at least 2 rows, got {Xa.shape[0]}")
-    constant = Xa.max(axis=0) == Xa.min(axis=0)
-    if np.any(constant):
-        raise ConstantColumnError(int(np.flatnonzero(constant)[0]))
-    m = np.corrcoef(Xa, rowvar=False)
-    m = np.atleast_2d(m)
+def _correlation_matrix(X: np.ndarray) -> np.ndarray:
+    """Column correlations clipped into [-1, 1], with an exact unit diagonal."""
+    m = np.atleast_2d(np.corrcoef(X, rowvar=False))
     np.clip(m, -1.0, 1.0, out=m)
     np.fill_diagonal(m, 1.0)
-    return EmpiricalCorrelation(matrix=m)
+    return m
+
+
+def empirical_correlation(X) -> EmpiricalCorrelation:
+    """Pearson correlations among the columns of a panel."""
+    Xa = as_genotype_matrix(X).entries
+    require_varying_columns(Xa)
+    return EmpiricalCorrelation(matrix=_correlation_matrix(Xa))
 
 
 def _as_square(sigma_hat) -> np.ndarray:
@@ -255,13 +252,15 @@ def _as_square(sigma_hat) -> np.ndarray:
     return m
 
 
-def _as_scores(S, dim: int) -> np.ndarray:
+def _as_test_inputs(S, sigma_hat) -> tuple[np.ndarray, np.ndarray]:
+    """Validated (L, 1) score column and (L, L) matrix of a covariance-aware test."""
+    m = _as_square(sigma_hat)
     s = np.asarray(S, dtype=np.float64).ravel()
-    if s.size != dim:
-        raise DimensionMismatchError(f"score length {s.size} != matrix dimension {dim}")
+    if s.size != m.shape[0]:
+        raise DimensionMismatchError(f"score length {s.size} != matrix dimension {m.shape[0]}")
     if not np.all(np.isfinite(s)):
         raise NonFiniteInputError("scores contain non-finite values")
-    return s
+    return s[:, None], m
 
 
 def cholesky_lower(matrix) -> np.ndarray:
@@ -275,23 +274,36 @@ def cholesky_lower(matrix) -> np.ndarray:
     return np.tril(c)
 
 
-def linear_combination_test(S, sigma_hat) -> float:
-    """Sum of scores standardised by the covariance of the sum."""
-    m = _as_square(sigma_hat)
-    s = _as_scores(S, m.shape[0])
-    denom = float(m.sum())  # ones' Sigma ones
+def _lct_columns(S: np.ndarray, sigma_hat: np.ndarray) -> np.ndarray:
+    """Signed sums of the (L, m) score columns standardised by ones' Sigma ones."""
+    denom = float(sigma_hat.sum())
     if denom <= 0.0:
         raise NonPositiveQuadFormError(f"aggregate variance {denom!r} is not positive")
-    return float(s.sum() / np.sqrt(denom))
+    return S.sum(axis=0) / np.sqrt(denom)
+
+
+def _whitened_stats(S: np.ndarray, low: np.ndarray, needs) -> dict[str, np.ndarray]:
+    """QT and/or DT, as named in ``needs``, of the (L, m) score columns
+    whitened by the lower Cholesky factor ``low``."""
+    w = solve_triangular(low, S, lower=True)
+    out = {}
+    if "QT" in needs:
+        out["QT"] = np.einsum("ij,ij->j", w, w)
+    if "DT" in needs:
+        out["DT"] = -2.0 * np.log(_two_sided_p(w)).sum(axis=0)
+    return out
+
+
+def linear_combination_test(S, sigma_hat) -> float:
+    """Sum of scores standardised by the covariance of the sum (signed)."""
+    s, m = _as_test_inputs(S, sigma_hat)
+    return float(_lct_columns(s, m)[0])
 
 
 def quadratic_test(S, sigma_hat) -> float:
     """Full quadratic form S' Sigma^-1 S via one triangular solve."""
-    m = _as_square(sigma_hat)
-    s = _as_scores(S, m.shape[0])
-    low = cholesky_lower(m)
-    w = solve_triangular(low, s, lower=True)
-    return float(w @ w)
+    s, m = _as_test_inputs(S, sigma_hat)
+    return float(_whitened_stats(s, cholesky_lower(m), ("QT",))["QT"][0])
 
 
 def decorrelation_test(S, sigma_hat) -> float:
@@ -301,12 +313,8 @@ def decorrelation_test(S, sigma_hat) -> float:
     returns -2 * sum log p.  With the identity matrix this reduces exactly
     to Fisher's method on the raw scores.
     """
-    m = _as_square(sigma_hat)
-    s = _as_scores(S, m.shape[0])
-    low = cholesky_lower(m)
-    w = solve_triangular(low, s, lower=True)
-    p = np.maximum(erfc(np.abs(w) / np.sqrt(2.0)), P_FLOOR)
-    return float(-2.0 * np.sum(np.log(p)))
+    s, m = _as_test_inputs(S, sigma_hat)
+    return float(_whitened_stats(s, cholesky_lower(m), ("DT",))["DT"][0])
 
 
 class SparsityCheck(NamedTuple):

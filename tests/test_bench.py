@@ -4,25 +4,39 @@ import numpy as np
 import pytest
 
 from rareweak import (
+    METHOD_NAMES,
     BadSampleSizeError,
     CoefficientScheme,
     ConfigError,
+    ConstantColumnError,
     EmptyGeneError,
+    EmptyGroupError,
     LdSpec,
     MethodId,
+    NonFiniteInputError,
+    Phenotype,
     Scenario,
     TooFewPermutationsError,
     TraitModel,
+    case_control_zscores,
+    decorrelation_test,
+    empirical_correlation,
     empirical_power,
     fdr_curve,
     fdr_table_csv,
+    higher_criticism,
+    linear_combination_test,
+    marginal_stats,
     permutation_cutoff,
     power_table_csv,
+    pvalues_two_sided,
+    quadratic_test,
     rank_gene_sets,
     ranking_csv,
     simulate_genotypes,
 )
-from rareweak.bench import _pooled_cutoff, csv_text
+from rareweak import bench
+from rareweak.bench import _pooled_cutoff, _stats_for_columns, csv_text
 
 
 def quick_scenario(r=0.9, L=30, n=200, scheme=None, ld=None):
@@ -90,6 +104,103 @@ def test_permutation_cutoff_calibrates_fresh_permutations():
     stats = _stats_for_columns(X, fresh, "quantitative", frozenset({"HC"}))["HC"]
     rate = float(np.mean(stats > cut))
     assert 0.04 <= rate <= 0.06
+
+
+# --- the batched kernel against the m = 1 public functions -------------------
+
+
+@pytest.mark.parametrize("trait_kind", ["quantitative", "binary"])
+def test_kernel_columns_match_public_scalar_functions(trait_kind):
+    rng = np.random.default_rng(71)
+    n, L, m = 150, 12, 6
+    X = rng.binomial(2, 0.4, size=(n, L)).astype(float)
+    if trait_kind == "quantitative":
+        Y = rng.standard_normal((n, m))
+    else:
+        labels = np.repeat([1.0, 0.0], [60, n - 60])
+        Y = np.column_stack([rng.permutation(labels) for _ in range(m)])
+    needs = frozenset(name for name in METHOD_NAMES
+                      if MethodId(name).applicable_to(trait_kind))
+    kernel = _stats_for_columns(X, Y, trait_kind, needs)
+    sigma = empirical_correlation(X)
+
+    def hc(scores):
+        return higher_criticism(pvalues_two_sided(scores)).value
+
+    for j in range(m):
+        if trait_kind == "quantitative":
+            scores = marginal_stats(X, Y[:, j], "t").values
+            want = {"HCm": hc(marginal_stats(X, Y[:, j], "r").values)}
+        else:
+            scores = case_control_zscores(X, Y[:, j])
+            want = {}
+        want.update(HC=hc(scores), MinP=np.abs(scores).max(),
+                    LCT=abs(linear_combination_test(scores, sigma)),
+                    QT=quadratic_test(scores, sigma), DT=decorrelation_test(scores, sigma))
+        assert set(want) == set(kernel)
+        for name, value in want.items():
+            assert kernel[name][j] == pytest.approx(value, rel=1e-12), (name, j)
+
+
+# --- entry validation ---------------------------------------------------------
+
+
+@pytest.fixture
+def no_permutations(monkeypatch):
+    """Fails the test if a permuted response matrix is ever built."""
+    def refuse(*args):
+        raise AssertionError("permutations drawn before the inputs were validated")
+    monkeypatch.setattr(bench, "_permuted_responses", refuse)
+
+
+def _bad_responses(n):
+    nan = np.random.default_rng(73).standard_normal(n)
+    nan[5] = np.nan
+    return [(np.full(n, 2.5), ConstantColumnError), (nan, NonFiniteInputError)]
+
+
+def test_rank_rejects_constant_or_nonfinite_response(no_permutations):
+    X, y = rank_panel()
+    for bad, error in _bad_responses(y.size):
+        for methods in (["HC"], ["MinP"], ["LCT"]):
+            with pytest.raises(error) as err:
+                rank_gene_sets([("a", [0, 1]), ("b", [2, 3])], X, bad, methods,
+                               n_perms=100, seed=1)
+            if error is ConstantColumnError:
+                assert err.value.index == -1
+
+
+def test_permutation_cutoff_rejects_constant_or_nonfinite_response(no_permutations):
+    X, y = rank_panel()
+    for bad, error in _bad_responses(y.size):
+        with pytest.raises(error):
+            permutation_cutoff("HC", X, bad, n_perms=400, level=0.05, seed=1)
+    with pytest.raises(ConstantColumnError):
+        permutation_cutoff("HC", X, Phenotype(values=np.full(y.size, 2.5)),
+                           n_perms=400, level=0.05, seed=1)
+
+
+def test_raw_panel_is_validated_at_entry(no_permutations):
+    X, y = rank_panel()
+    X[3, 4] = 7.0
+    with pytest.raises(NonFiniteInputError):
+        rank_gene_sets([("a", [3, 4])], X, y, ["HC"], n_perms=100, seed=1)
+    with pytest.raises(NonFiniteInputError):
+        permutation_cutoff("HC", X, y, n_perms=400, level=0.05, seed=1)
+
+
+def test_one_group_labels_raise_empty_group_error(no_permutations):
+    X, _ = rank_panel()
+    for labels in (np.ones(X.shape[0]), np.zeros(X.shape[0])):
+        with pytest.raises(EmptyGroupError):
+            permutation_cutoff("HC", X, Phenotype(values=labels, kind="binary"),
+                               n_perms=400, level=0.05, seed=1)
+
+
+def test_kernel_one_group_labels_raise_empty_group_error():
+    X, _ = rank_panel()
+    with pytest.raises(EmptyGroupError):
+        _stats_for_columns(X, np.ones((X.shape[0], 3)), "binary", frozenset({"HC"}))
 
 
 # --- method bookkeeping -------------------------------------------------------

@@ -437,3 +437,39 @@ def test_run_requires_known_command(tmp_path):
     cfg = Config(raw={}, path="x")
     with pytest.raises(ConfigError, match="unknown command"):
         run("zap", cfg, out_dir=tmp_path)
+
+
+def _panel_files(tmp_path, phenotype_cells):
+    rng = np.random.default_rng(83)
+    geno = rng.binomial(2, 0.4, size=(len(phenotype_cells), 6))
+    ids = [f"snp_{j + 1}" for j in range(6)]
+    write(tmp_path / "g.csv", ",".join(ids) + "\n"
+          + "".join(",".join(str(v) for v in row) + "\n" for row in geno))
+    write(tmp_path / "p.csv", "phenotype\n" + "".join(f"{c}\n" for c in phenotype_cells))
+    write(tmp_path / "m.csv", "gene,snp\n" + "".join(f"G{j // 3},{s}\n" for j, s in enumerate(ids)))
+    return write(tmp_path / "a.cfg", f"""
+io.genotypes = {tmp_path / 'g.csv'}
+io.phenotype = {tmp_path / 'p.csv'}
+io.gene_map = {tmp_path / 'm.csv'}
+analysis.methods = HC,MinP,LCT
+execution.n_perms = 100
+""")
+
+
+@pytest.mark.parametrize("command", ["rank", "score"])
+@pytest.mark.parametrize("cells,error", [
+    (["1.5"] * 40, "ConstantColumnError"),
+    (["0.3"] * 20 + ["nan"] + ["-0.7"] * 19, "NonFiniteInputError"),
+])
+def test_uninformative_phenotype_exits_4(tmp_path, capsys, command, cells, error):
+    cfg = _panel_files(tmp_path, cells)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+    payloads = []
+    for line in capsys.readouterr().err.splitlines():
+        try:
+            payloads.append(json.loads(line))
+        except ValueError:
+            pass
+    assert len(payloads) == 1
+    assert payloads[0]["error"] == error and payloads[0]["exit_code"] == 4
+    assert not (tmp_path / "out").exists()
