@@ -43,7 +43,7 @@ from scipy.stats import rankdata
 
 from ._rng import TAG_GENE, TAG_PERMUTE, TAG_REPLICATE, TAG_TRAIT, derive_seed, substream
 from .boundary import beta_from_r, signal_count
-from .core_stats import _case_control, _correlations, _t_from_rho, _two_sided_p, _z_from_rho, validated_inputs
+from .core_stats import _case_control, _centre_in_place, _correlations, _t_from_rho, _two_sided_p, _z_from_rho, validated_inputs
 from .detectors import _correlation_matrix, _hc_max_rows, _lct_columns, _whitened_stats, cholesky_lower
 from .errors import (
     BadSampleSizeError,
@@ -153,16 +153,17 @@ class Scenario:
 
 
 def _stats_for_columns(X: np.ndarray, Y: np.ndarray, trait_kind: str,
-                       needs: frozenset[str]) -> dict[str, np.ndarray]:
+                       needs: frozenset[str], ynorm: np.ndarray | None = None) -> dict[str, np.ndarray]:
     """Set-level statistics for every response column in Y.
 
     X is the (n, L) panel shared by all columns; Y is (n, m).  Returns, per
-    requested method, the m exceedance-oriented statistics.
+    requested method, the m exceedance-oriented statistics.  ``ynorm`` comes
+    from ``_prepared_responses``: Y is then already centred.
     """
     n = X.shape[0]
     out: dict[str, np.ndarray] = {}
     if trait_kind == "quantitative":
-        rho = _correlations(X, Y)
+        rho = _correlations(X, Y, ynorm)
         scores = _t_from_rho(rho, n)  # (L, m)
         if "HCm" in needs:
             out["HCm"] = _hc_max_rows(_two_sided_p(_z_from_rho(rho, n).T))
@@ -191,6 +192,17 @@ def _permuted_responses(y: np.ndarray, n_perms: int, seed: int) -> np.ndarray:
     for i in range(n_perms):
         Y[:, 1 + i] = y[perm_rng.permutation(n)]
     return Y
+
+
+def _prepared_responses(y: np.ndarray, n_perms: int, seed: int,
+                        trait_kind: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """``_permuted_responses`` ready to be shared by many panels: (Y, ynorm).
+
+    A quantitative block is centred once, in place, and ynorm holds its
+    column norms; binary labels are scored as drawn, with ynorm None.
+    """
+    Y = _permuted_responses(y, n_perms, seed)
+    return Y, (_centre_in_place(Y) if trait_kind == "quantitative" else None)
 
 
 def _zero_signal(L: int) -> SignalConfig:
@@ -382,9 +394,9 @@ def _fdr_chunk(scenario: Scenario, needs: tuple[str, ...], seed: int,
                                          scenario.base_beta, seed=gene_seed)
                 genetic += Xg.entries @ cfg.beta
         y = genetic + scenario.trait.sigma * substream(rep_seed, TAG_TRAIT).standard_normal(n)
-        Y = _permuted_responses(y, 1, rep_seed)
+        Y, ynorm = _prepared_responses(y, 1, rep_seed, "quantitative")
         for g in range(n_genes):
-            stats = _stats_for_columns(panels[g], Y, "quantitative", fs)
+            stats = _stats_for_columns(panels[g], Y, "quantitative", fs, ynorm)
             for name in needs:
                 out[name][i - lo, g] = stats[name]
     return out
@@ -462,13 +474,19 @@ class GeneRanking:
         return {m: float(self.ranks[mi, idx].mean()) for mi, m in enumerate(self.methods)}
 
 
-def _gene_chunk(X: np.ndarray, Y: np.ndarray, gene_slices: tuple, trait_kind: str,
-                needs: tuple[str, ...], lo: int, hi: int) -> dict[str, np.ndarray]:
+def _gene_chunk(X: np.ndarray, y: np.ndarray, n_perms: int, seed: int, gene_slices: tuple,
+                trait_kind: str, needs: tuple[str, ...], lo: int, hi: int) -> dict[str, np.ndarray]:
+    """Observed and permuted statistics of genes lo..hi.
+
+    Each chunk builds the shared response block itself, from the same
+    permutation stream, so the (n, 1 + n_perms) matrix is never pickled.
+    """
     fs = frozenset(needs)
-    out = {name: np.empty((hi - lo, Y.shape[1])) for name in needs}
+    Y, ynorm = _prepared_responses(y, n_perms, seed, trait_kind)
+    out = {name: np.empty((hi - lo, 1 + n_perms)) for name in needs}
     for gi in range(lo, hi):
         idx = gene_slices[gi]
-        stats = _stats_for_columns(X[:, idx], Y, trait_kind, fs)
+        stats = _stats_for_columns(X[:, idx], Y, trait_kind, fs, ynorm)
         for name in needs:
             out[name][gi - lo] = stats[name]
     return out
@@ -498,7 +516,7 @@ def gene_set_statistics(genes: Sequence[tuple[str, Sequence[int]]], X, y,
     Xa, yv, kind = validated_inputs(X, y)
     needs = tuple(m.name for m in _as_methods(methods, kind))
     names, slices = _gene_columns(genes, Xa.shape[1])
-    stats = _gene_chunk(Xa, yv[:, None], slices, kind, needs, 0, len(names))
+    stats = _gene_chunk(Xa, yv, 0, 0, slices, kind, needs, 0, len(names))  # no permutations
     return {name: stats[name][:, 0] for name in needs}
 
 
@@ -516,8 +534,8 @@ def rank_gene_sets(genes: Sequence[tuple[str, Sequence[int]]], X, y,
     Xa, yv, kind = validated_inputs(X, y)
     needs = tuple(m.name for m in _as_methods(methods, kind))
     names, slices = _gene_columns(genes, Xa.shape[1])
-    Y = _permuted_responses(yv, n_perms, seed)
-    chunks = _run_chunked(_gene_chunk, len(names), workers, Xa, Y, slices, kind, needs)
+    chunks = _run_chunked(_gene_chunk, len(names), workers, Xa, yv, n_perms, seed,
+                          slices, kind, needs)
     pvals = np.empty((len(needs), len(names)))
     for mi, m in enumerate(needs):
         stats = np.concatenate([c[m] for c in chunks], axis=0)  # (genes, 1 + n_perms)

@@ -13,9 +13,11 @@ Configs are flat ``key=value`` text with dotted keys and ``#`` comments:
     execution.n_sims=500
 
 Unknown keys are rejected.  Every artifact ``name.csv`` gets a
-``name.meta.json`` sidecar holding the fully-resolved config, seed, and RNG
-algorithm, so a run can be reproduced from its outputs alone.  Exit codes:
-0 ok, 2 config error, 3 data error, 4 numeric failure.
+``name.meta.json`` sidecar holding the fully-resolved config, seed, RNG
+algorithm and environment (Python, NumPy, SciPy, BLAS, cores), so a run can
+be reproduced from its outputs alone.  Exit codes: 0 ok, 2 config error
+(including an output directory that cannot be written), 3 data error,
+4 numeric failure.
 """
 
 from __future__ import annotations
@@ -25,12 +27,14 @@ import csv
 import json
 import logging
 import os
+import platform
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy
 from scipy.stats import chi2 as _chi2
 
 from . import __version__
@@ -479,10 +483,33 @@ def _write_artifact(out_dir: Path, name: str, text: str, meta: dict) -> Path:
     sidecar["artifact"] = csv_path.name
     sidecar["rng"] = RNG_ALGORITHM
     sidecar["version"] = __version__
+    sidecar["env"] = _environment()
     (out_dir / f"{name}.meta.json").write_text(
         json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     logger.info("wrote %s", csv_path)
     return csv_path
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def _environment() -> dict:
+    """Interpreter, NumPy, SciPy, BLAS and cores, with the BLAS thread variables as found."""
+    try:
+        blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    except TypeError:  # NumPy before 1.25 only prints its config
+        blas = {}
+    affinity = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": f"{blas.get('name', '?')} {blas.get('version', '?')}",
+        "cpu_count": os.cpu_count(),
+        "affinity": len(affinity) if affinity is not None else None,
+        "blas_threads": {k: os.environ.get(k) for k in BLAS_THREAD_VARS},
+    }
 
 
 def _meta(command: str, cfg: Config, seed: int, workers: int) -> dict:
@@ -787,6 +814,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except RareweakError as e:
         _emit_error(e, 4)
         return 4
+    except OSError as e:  # the output directory (--out / io.out) cannot be written
+        _emit_error(e, 2)
+        return 2
     return 0
 
 

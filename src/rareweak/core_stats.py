@@ -190,18 +190,38 @@ def _group_sizes(labels: np.ndarray) -> tuple[float, float]:
 # Inputs are trusted; the public functions below validate them, then call it.
 
 
+def _column_norms(A: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("ij,ij->j", A, A))
+
+
 def _centred_cross(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Centred-column cross-products Xc' Y and the centred column norms."""
     require_varying_columns(X)
     Xc = X - X.mean(axis=0)
-    return Xc.T @ Y, np.sqrt(np.einsum("ij,ij->j", Xc, Xc))
+    return Xc.T @ Y, _column_norms(Xc)
 
 
-def _correlations(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Sample correlations, clipped into [-1, 1]."""
-    Yc = Y - Y.mean(axis=0)
-    ynorm = np.sqrt(np.einsum("ij,ij->j", Yc, Yc))
-    cross, xnorm = _centred_cross(X, Yc)
+def _centre_in_place(Y: np.ndarray) -> np.ndarray:
+    """Centre the columns of Y, overwriting it; returns their norms.
+
+    For a response block that many panels share: ``_correlations(X, Y,
+    ynorm)`` then skips the centring, with the same arithmetic.  Only for a
+    block the caller built itself, never for a caller's array.
+    """
+    Y -= Y.mean(axis=0)
+    return _column_norms(Y)
+
+
+def _correlations(X: np.ndarray, Y: np.ndarray, ynorm: np.ndarray | None = None) -> np.ndarray:
+    """Sample correlations, clipped into [-1, 1].
+
+    With ``ynorm`` given, Y is already centred and ynorm holds its column
+    norms (see ``_centre_in_place``); otherwise Y is centred into a copy.
+    """
+    if ynorm is None:
+        Y = Y - Y.mean(axis=0)
+        ynorm = _column_norms(Y)
+    cross, xnorm = _centred_cross(X, Y)
     rho = cross / (xnorm[:, None] * ynorm[None, :])
     np.clip(rho, -1.0, 1.0, out=rho)
     return rho

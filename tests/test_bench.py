@@ -26,6 +26,7 @@ from rareweak import (
     fdr_table_csv,
     higher_criticism,
     linear_combination_test,
+    marginal_correlations,
     marginal_stats,
     permutation_cutoff,
     power_table_csv,
@@ -36,7 +37,8 @@ from rareweak import (
     simulate_genotypes,
 )
 from rareweak import bench
-from rareweak.bench import _pooled_cutoff, _stats_for_columns, csv_text
+from rareweak.bench import _pooled_cutoff, _stats_for_columns, csv_text, gene_set_statistics
+from rareweak.core_stats import validated_inputs
 
 
 def quick_scenario(r=0.9, L=30, n=200, scheme=None, ld=None):
@@ -364,6 +366,54 @@ def test_rank_determinism_across_workers():
     b = rank_gene_sets(genes, X, y, ["HC", "MinP"], n_perms=150, seed=5, workers=2)
     np.testing.assert_array_equal(a.pvalues, b.pvalues)
     assert ranking_csv(a) == ranking_csv(b)
+
+
+def test_binary_rank_determinism_across_workers():
+    X, _ = rank_panel(seed=71, L=16)
+    labels = np.random.default_rng(71).integers(0, 2, X.shape[0]).astype(float)
+    y = Phenotype(values=labels, kind="binary")
+    genes = [(f"g{i}", list(range(4 * i, 4 * i + 4))) for i in range(4)]
+    a = rank_gene_sets(genes, X, y, ["HC", "MinP", "LCT"], n_perms=150, seed=5, workers=1)
+    b = rank_gene_sets(genes, X, y, ["HC", "MinP", "LCT"], n_perms=150, seed=5, workers=2)
+    np.testing.assert_array_equal(a.pvalues, b.pvalues)
+    assert ranking_csv(a) == ranking_csv(b)
+    # the labels reach the case/control contrast uncentred
+    observed = gene_set_statistics(genes, X, y, ["MinP"])["MinP"]
+    for gi, (_, idx) in enumerate(genes):
+        want = np.abs(case_control_zscores(X[:, idx], y)).max()
+        assert observed[gi] == pytest.approx(want, rel=1e-12)
+
+
+def test_callers_arrays_are_never_written():
+    X, y = rank_panel(seed=67, L=12)
+    Xa, yv, _ = validated_inputs(X, y)
+    assert np.shares_memory(Xa, X) and np.shares_memory(yv, y)
+    X0, y0 = X.tobytes(), y.tobytes()
+    genes = [("a", [0, 1, 2]), ("b", [3, 4, 5, 6]), ("c", [7, 8])]
+    for workers in (1, 2):
+        rank_gene_sets(genes, X, y, ["HC", "HCm", "LCT"], n_perms=100, seed=3, workers=workers)
+    gene_set_statistics(genes, X, y, ["HC", "QT"])
+    permutation_cutoff("HC", X, y, n_perms=400, level=0.05, seed=1)
+    marginal_correlations(X, y)
+    assert X.tobytes() == X0 and y.tobytes() == y0
+
+
+def test_rank_pool_ships_no_response_matrix(monkeypatch):
+    X, y = rank_panel(seed=73, L=16)
+    shipped = []
+    real = bench._run_chunked
+
+    def spy(fn, n_items, workers, *args):
+        for a in args:
+            shipped.extend(a if isinstance(a, tuple) else [a])
+        return real(fn, n_items, workers, *args)
+
+    monkeypatch.setattr(bench, "_run_chunked", spy)
+    genes = [(f"g{i}", list(range(4 * i, 4 * i + 4))) for i in range(4)]
+    rank_gene_sets(genes, X, y, ["HC"], n_perms=300, seed=5, workers=2)
+    arrays = [a for a in shipped if isinstance(a, np.ndarray)]
+    assert arrays
+    assert max(a.nbytes for a in arrays) <= X.nbytes
 
 
 def test_rank_average_over_target_genes():

@@ -418,6 +418,30 @@ def test_exit_codes(tmp_path, capsys):
     assert err["error"] == "BadSampleSizeError" and err["exit_code"] == 4
 
 
+def test_unwritable_output_directory_exits_2(tmp_path, capsys):
+    cfg = write(tmp_path / "b.cfg", "scenario.L = 100\nscenario.q = 0.4\nscenario.n = 1000\n")
+    blocker = write(tmp_path / "taken", "not a directory\n")
+    assert main(["boundary", "--config", cfg, "--out", f"{blocker}/sub"]) == 2
+    payloads = []
+    for line in capsys.readouterr().err.splitlines():
+        try:
+            payloads.append(json.loads(line))
+        except ValueError:
+            pass
+    assert len(payloads) == 1
+    assert payloads[0]["error"] == "NotADirectoryError" and payloads[0]["exit_code"] == 2
+
+
+def test_sidecar_records_environment(tmp_path):
+    cfg = write(tmp_path / "b.cfg", "scenario.L = 100\nscenario.q = 0.4\nscenario.n = 1000\n")
+    out = tmp_path / "out"
+    assert main(["boundary", "--config", cfg, "--out", str(out)]) == 0
+    env = json.loads((out / "boundary.meta.json").read_text())["env"]
+    assert set(env) == {"python", "numpy", "scipy", "blas", "cpu_count", "affinity", "blas_threads"}
+    assert env["numpy"] == np.__version__
+    assert "OPENBLAS_NUM_THREADS" in env["blas_threads"]
+
+
 def test_workers_resolution_order(tmp_path, monkeypatch):
     cfg = simulate_cfg(tmp_path)
     out = tmp_path / "env"
