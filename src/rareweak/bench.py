@@ -41,6 +41,7 @@ from typing import Sequence
 import numpy as np
 from scipy.stats import rankdata
 
+from ._blas import one_thread
 from ._rng import TAG_GENE, TAG_PERMUTE, TAG_REPLICATE, TAG_TRAIT, derive_seed, substream
 from .boundary import beta_from_r, signal_count
 from .core_stats import _case_control, _centre_in_place, _correlations, _t_from_rho, _two_sided_p, _z_from_rho, validated_inputs
@@ -297,10 +298,15 @@ def _power_chunk(scenario: Scenario, needs: tuple[str, ...], seed: int,
 
 def _run_chunked(fn, n_items: int, workers: int, *args):
     """Split 0..n_items into contiguous chunks, run fn(*args, lo, hi) on each,
-    return the chunk results in index order regardless of worker count."""
+    return the chunk results in index order regardless of worker count.
+
+    Every chunk runs with one BLAS thread (``_blas.one_thread``), in this
+    process or in a pool worker, so ``workers`` is the only parallelism.
+    """
     workers = max(1, int(workers))
     if workers == 1 or n_items < 2:
-        return [fn(*args, 0, n_items)]
+        with one_thread():
+            return [fn(*args, 0, n_items)]
     bounds = np.linspace(0, n_items, workers + 1).astype(int)
     jobs = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -309,7 +315,8 @@ def _run_chunked(fn, n_items: int, workers: int, *args):
 
 def _chunk_call(packed):
     fn, args, lo, hi = packed
-    return fn(*args, lo, hi)
+    with one_thread():
+        return fn(*args, lo, hi)
 
 
 def empirical_power(methods: Sequence[str | MethodId], scenario: Scenario,

@@ -17,7 +17,7 @@ Unknown keys are rejected.  Every artifact ``name.csv`` gets a
 algorithm and environment (Python, NumPy, SciPy, BLAS, cores), so a run can
 be reproduced from its outputs alone.  Exit codes: 0 ok, 2 config error
 (including an output directory that cannot be written), 3 data error,
-4 numeric failure.
+4 numeric failure (including a LAPACK error or running out of memory).
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ import scipy
 from scipy.stats import chi2 as _chi2
 
 from . import __version__
+from ._blas import managed as blas_managed
 from ._rng import RNG_ALGORITHM
 from .bench import (
     METHOD_NAMES,
@@ -495,7 +496,9 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 
 
 def _environment() -> dict:
-    """Interpreter, NumPy, SciPy, BLAS and cores, with the BLAS thread variables as found."""
+    """Interpreter, NumPy, SciPy, BLAS and cores, with the BLAS thread variables as
+    found and the thread count in effect during Monte Carlo work: 1 where
+    ``_blas`` can set it, "unmanaged" where it cannot."""
     try:
         blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     except TypeError:  # NumPy before 1.25 only prints its config
@@ -508,7 +511,8 @@ def _environment() -> dict:
         "blas": f"{blas.get('name', '?')} {blas.get('version', '?')}",
         "cpu_count": os.cpu_count(),
         "affinity": len(affinity) if affinity is not None else None,
-        "blas_threads": {k: os.environ.get(k) for k in BLAS_THREAD_VARS},
+        "blas_threads": {**{k: os.environ.get(k) for k in BLAS_THREAD_VARS},
+                         "in_effect": 1 if blas_managed() else "unmanaged"},
     }
 
 
@@ -817,6 +821,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as e:  # the output directory (--out / io.out) cannot be written
         _emit_error(e, 2)
         return 2
+    except (np.linalg.LinAlgError, MemoryError) as e:  # raised below the package
+        _emit_error(e, 4)
+        return 4
     return 0
 
 

@@ -238,12 +238,16 @@ def _t_from_rho(rho: np.ndarray, n: int) -> np.ndarray:
 def _case_control(X: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Case/control frequency contrasts on the z scale (see case_control_zscores)."""
     n_case, n_control = _group_sizes(labels[:, 0])
-    p_all = X.mean(axis=0) / 2.0
+    totals = X.sum(axis=0)
+    p_all = totals / X.shape[0] / 2.0  # X.mean(axis=0) / 2.0, bit for bit
     mono = (p_all == 0.0) | (p_all == 1.0)
     if np.any(mono):
         raise MonomorphicColumnError(int(np.flatnonzero(mono)[0]))
-    p_case = (X.T @ labels) / (2.0 * n_case)
-    p_control = (X.T @ (1.0 - labels)) / (2.0 * n_control)
+    case = X.T @ labels
+    p_case = case / (2.0 * n_case)
+    # control counts as totals minus case counts: no (n, m) `1 - labels`
+    # temporary; exact for integer genotypes, last-bit for imputed cells
+    p_control = (totals[:, None] - case) / (2.0 * n_control)
     m_eff = 2.0 / (1.0 / n_case + 1.0 / n_control)
     return np.sqrt(m_eff) * (p_case - p_control) / np.sqrt(2.0 * p_all * (1.0 - p_all))[:, None]
 

@@ -36,7 +36,7 @@ from rareweak import (
     ranking_csv,
     simulate_genotypes,
 )
-from rareweak import bench
+from rareweak import _blas, bench
 from rareweak.bench import _pooled_cutoff, _stats_for_columns, csv_text, gene_set_statistics
 from rareweak.core_stats import validated_inputs
 
@@ -414,6 +414,42 @@ def test_rank_pool_ships_no_response_matrix(monkeypatch):
     arrays = [a for a in shipped if isinstance(a, np.ndarray)]
     assert arrays
     assert max(a.nbytes for a in arrays) <= X.nbytes
+
+
+def _blas_threads_chunk(lo, hi):
+    return _blas.thread_counts()
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every managed OpenBLAS copy at two threads for the test, restored after."""
+    controls = _blas._thread_controls()
+    before = [get() for _, get in controls]
+    for setter, _ in controls:
+        setter(2)
+    yield
+    for (setter, _), n in zip(controls, before):
+        setter(n)
+
+
+@pytest.mark.skipif(not _blas.managed(), reason="this BLAS's thread count cannot be set")
+@pytest.mark.parametrize("workers", [1, 2])
+def test_chunks_run_with_one_blas_thread(two_blas_threads, workers):
+    before = _blas.thread_counts()
+    chunks = bench._run_chunked(_blas_threads_chunk, 4, workers)
+    assert len(chunks) == workers
+    assert all(counts and set(counts) == {1} for counts in chunks)
+    assert _blas.thread_counts() == before
+
+
+@pytest.mark.skipif(not _blas.managed(), reason="this BLAS's thread count cannot be set")
+def test_blas_cap_restores_after_an_error(two_blas_threads):
+    before = _blas.thread_counts()
+    with pytest.raises(ZeroDivisionError):
+        with _blas.one_thread():
+            assert set(_blas.thread_counts()) == {1}
+            1 / 0
+    assert _blas.thread_counts() == before
 
 
 def test_rank_average_over_target_genes():

@@ -12,6 +12,7 @@ from rareweak import (
     NonFiniteInputError,
     UnknownSnpIdError,
 )
+from rareweak import _blas, cli
 from rareweak.cli import (
     Config,
     load_config,
@@ -442,6 +443,17 @@ def test_sidecar_records_environment(tmp_path):
     assert "OPENBLAS_NUM_THREADS" in env["blas_threads"]
 
 
+def test_sidecar_records_blas_threads_in_effect(tmp_path, monkeypatch):
+    cfg = write(tmp_path / "b.cfg", "scenario.L = 100\nscenario.q = 0.4\nscenario.n = 1000\n")
+    assert main(["boundary", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+    env = json.loads((tmp_path / "a" / "boundary.meta.json").read_text())["env"]
+    assert env["blas_threads"]["in_effect"] == (1 if _blas.managed() else "unmanaged")
+    monkeypatch.setattr(cli, "blas_managed", lambda: False)
+    assert main(["boundary", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+    env = json.loads((tmp_path / "b" / "boundary.meta.json").read_text())["env"]
+    assert env["blas_threads"]["in_effect"] == "unmanaged"
+
+
 def test_workers_resolution_order(tmp_path, monkeypatch):
     cfg = simulate_cfg(tmp_path)
     out = tmp_path / "env"
@@ -496,4 +508,26 @@ def test_uninformative_phenotype_exits_4(tmp_path, capsys, command, cells, error
             pass
     assert len(payloads) == 1
     assert payloads[0]["error"] == error and payloads[0]["exit_code"] == 4
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("exc", [np.linalg.LinAlgError("Matrix is not positive definite"),
+                                 MemoryError("Unable to allocate 74.5 GiB")])
+def test_lapack_and_memory_errors_exit_4(tmp_path, capsys, monkeypatch, exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "empirical_power", fail)
+    cfg = write(tmp_path / "p.cfg",
+                "scenario.L = 10\nscenario.n = 50\nscenario.q = 0.4\n"
+                "scenario.k = 2\nscenario.beta = 0.5\nexecution.n_sims = 100\n")
+    assert main(["power", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+    payloads = []
+    for line in capsys.readouterr().err.splitlines():
+        try:
+            payloads.append(json.loads(line))
+        except ValueError:
+            pass
+    assert len(payloads) == 1
+    assert payloads[0] == {"error": type(exc).__name__, "message": str(exc), "exit_code": 4}
     assert not (tmp_path / "out").exists()
