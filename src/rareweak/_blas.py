@@ -64,7 +64,7 @@ def managed() -> bool:
 
 def thread_counts() -> tuple[int, ...]:
     """Current thread count of each managed OpenBLAS copy (empty if none)."""
-    return tuple(int(get()) for _, get in _thread_controls())
+    return tuple(get() for _, get in _thread_controls())
 
 
 @contextmanager
