@@ -51,6 +51,7 @@ from .errors import (
     ConfigError,
     DimensionMismatchError,
     EmptyGeneError,
+    NonFiniteInputError,
     TooFewPermutationsError,
 )
 from .simgen import CoefficientScheme, LdSpec, SignalConfig, TraitModel, draw_signal_config, simulate_case_control, simulate_genotypes, simulate_quantitative
@@ -108,7 +109,7 @@ class Scenario:
         if self.L < 2:
             raise BadSampleSizeError(f"need L >= 2, got {self.L}")
         if not (0.0 < self.q < 1.0):
-            raise DimensionMismatchError(f"allele frequency must lie in (0, 1), got {self.q!r}")
+            raise NonFiniteInputError(f"allele frequency must lie in (0, 1), got {self.q!r}")
         if self.base_beta < 0.0:
             raise DimensionMismatchError(f"base coefficient must be >= 0, got {self.base_beta!r}")
         if self.base_beta > 0.0 and not 1 <= self.n_signals <= self.L:
@@ -264,8 +265,9 @@ def permutation_cutoff(method: str | MethodId, X, y, n_perms: int, level: float,
             f"need at least {int(np.ceil(20.0 / level))} permutations at level {level}, got {n_perms}")
     Xa, yv, kind = validated_inputs(X, y)
     m = _as_methods([method], kind)[0]
-    Y = _permuted_responses(yv, n_perms, seed)
-    nulls = _stats_for_columns(Xa, Y, kind, frozenset({m.name}))[m.name][1:]
+    with one_thread():
+        Y = _permuted_responses(yv, n_perms, seed)
+        nulls = _stats_for_columns(Xa, Y, kind, frozenset({m.name}))[m.name][1:]
     return _pooled_cutoff(nulls, level)
 
 
@@ -523,7 +525,8 @@ def gene_set_statistics(genes: Sequence[tuple[str, Sequence[int]]], X, y,
     Xa, yv, kind = validated_inputs(X, y)
     needs = tuple(m.name for m in _as_methods(methods, kind))
     names, slices = _gene_columns(genes, Xa.shape[1])
-    stats = _gene_chunk(Xa, yv, 0, 0, slices, kind, needs, 0, len(names))  # no permutations
+    with one_thread():
+        stats = _gene_chunk(Xa, yv, 0, 0, slices, kind, needs, 0, len(names))  # no permutations
     return {name: stats[name][:, 0] for name in needs}
 
 

@@ -38,7 +38,7 @@ import scipy
 from scipy.stats import chi2 as _chi2
 
 from . import __version__
-from ._blas import managed as blas_managed
+from ._blas import managed as blas_managed, one_thread
 from ._rng import RNG_ALGORITHM
 from .bench import (
     METHOD_NAMES,
@@ -780,7 +780,10 @@ def run(command: str, cfg: Config, out_dir: str | Path = ".",
     # sidecar reproduce the same artifacts
     cfg.raw["execution.seed"] = str(eff_seed)
     cfg.raw["execution.workers"] = str(eff_workers)
-    return _COMMANDS[command](cfg, Path(out_dir), eff_seed, eff_workers)
+    # one BLAS thread, as in the Monte Carlo chunks, so that no artifact's
+    # last digits depend on the host's thread count
+    with one_thread():
+        return _COMMANDS[command](cfg, Path(out_dir), eff_seed, eff_workers)
 
 
 def _emit_error(exc: Exception, code: int):

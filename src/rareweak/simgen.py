@@ -4,11 +4,13 @@ additive and case/control trait models on top of them.
 Genotypes are built at the haplotype level: each column gets a latent
 standard normal, columns are mixed to a solved latent correlation, each
 latent value is thresholded at the allele frequency's normal quantile to
-give one allele, and two independent haplotype draws are summed.  The
-latent correlation per column pair is solved numerically so that the
-*genotype* correlation hits the requested target; summing two independent
-haplotypes keeps the genotype correlation equal to the allele correlation
-and the marginals exactly binomial(2, q).
+give one allele, and two independent haplotype draws are summed.  Each
+latent correlation is chosen so that the *genotype* correlation hits the
+requested target: a bisection on the bivariate normal CDF, which has a
+closed form through Owen's T function, run once per design over all its
+distinct (target, q_j, q_k) at once.  Summing two independent haplotypes
+keeps the genotype correlation equal to the allele correlation and the
+marginals exactly binomial(2, q).
 
 Randomness is Philox-based with per-column substreams (see ``_rng``), so
 simulated panels are reproducible and column j's draw does not depend on
@@ -21,10 +23,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.linalg import toeplitz as _toeplitz
 from scipy.linalg.lapack import dpotrf
-from scipy.special import expit, ndtr, ndtri
+from scipy.special import expit, ndtr, ndtri, owens_t
 
 from ._rng import (
     RNG_ALGORITHM,
@@ -48,6 +49,7 @@ from .errors import (
     NotPositiveDefiniteError,
     NotSquareError,
     QuotaStallError,
+    UnattainableError,
 )
 
 __all__ = [
@@ -186,116 +188,109 @@ def six_toeplitz_designs() -> tuple[tuple[str, LdSpec], ...]:
 # latent-correlation solving
 
 
-def _bvn_cdf(h: float, k: float, rho: float) -> float:
-    """P(Z1 <= h, Z2 <= k) for standard bivariate normal with correlation rho.
+def _bivariate_normal_cdf(h, k, rho) -> np.ndarray:
+    """P(Z1 <= h, Z2 <= k) for standard bivariate normals with correlation
+    rho, elementwise, for |rho| < 1.
 
-    One-dimensional adaptive quadrature of the conditional cdf; accurate to
-    ~1e-12 absolute, which is far below the 1e-8 solve tolerance.
+    Closed form through Owen's T function (Owen 1956, Ann. Math. Statist. 27):
+    Phi(h) - 2 T(h, sqrt((1 - rho) / (1 + rho))) on equal margins, the two-T
+    form otherwise, where a zero margin's T term takes its limit 1/4.
     """
-    if rho == 0.0:
-        return float(ndtr(h) * ndtr(k))
-    if rho >= 1.0:
-        return float(ndtr(min(h, k)))
-    if rho <= -1.0:
-        return float(max(0.0, ndtr(h) + ndtr(k) - 1.0))
-    s = np.sqrt(1.0 - rho * rho)
+    s = np.sqrt((1.0 - rho) * (1.0 + rho))
 
-    def integrand(z):
-        return np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi) * ndtr((k - rho * z) / s)
+    def owen(a, b):
+        # T(a, (b - rho a) / (a s)), or its limit from the side where a b > 0
+        at_zero = a == 0.0
+        return np.where(at_zero, 0.25,
+                        owens_t(a, (b - rho * a) / (np.where(at_zero, 1.0, a) * s)))
 
-    val, _ = quad(integrand, -np.inf, h, epsabs=1e-12, epsrel=1e-12, limit=200)
-    return float(val)
-
-
-_LATENT_CACHE: dict[tuple[float, float, float], float] = {}
+    equal = ndtr(h) - 2.0 * owens_t(h, np.sqrt((1.0 - rho) / (1.0 + rho)))
+    general = (0.5 * (ndtr(h) + ndtr(k)) - owen(h, k) - owen(k, h)
+               - np.where(h * k < 0.0, 0.5, 0.0))
+    return np.where(h == k, equal, general)
 
 
-def solve_latent_correlation(rho_target: float, q_j: float, q_k: float,
-                             tol: float = 1e-8) -> float:
+def solve_latent_correlation(rho_target, q_j, q_k, tol: float = 1e-8):
     """Latent normal correlation that yields a given Bernoulli correlation.
 
     For alleles thresholded at the q_j / q_k quantiles, returns the latent
     rho_z whose implied allele correlation matches ``rho_target`` to within
-    ``tol``.  Targets outside the Frechet bounds for these marginals raise
-    ``UnattainableError``; targets exactly on a bound return +-1.
+    ``tol``.  Takes scalars, or arrays of one shape solved together (the
+    scalar call is the one-element case).  Targets outside the Frechet
+    bounds for these marginals raise ``UnattainableError``; targets exactly
+    on a bound return +-1.
     """
-    from .errors import UnattainableError
+    shape = np.shape(rho_target)
+    if not np.shape(q_j) == np.shape(q_k) == shape:
+        raise DimensionMismatchError(
+            f"targets and frequencies need one shape, got {shape}, {np.shape(q_j)}, {np.shape(q_k)}")
+    t, qj, qk = (np.asarray(v, dtype=np.float64).ravel() for v in (rho_target, q_j, q_k))
+    ok = np.abs(t) <= 1.0
+    if not ok.all():
+        raise NonFiniteInputError(f"target correlation must lie in [-1, 1], got {float(t[~ok][0])!r}")
+    for q in (qj, qk):
+        ok = (q > 0.0) & (q < 1.0)
+        if not ok.all():
+            raise NonFiniteInputError(f"allele frequency must lie in (0, 1), got {float(q[~ok][0])!r}")
 
-    t = float(rho_target)
-    if not np.isfinite(t) or abs(t) > 1.0:
-        raise NonFiniteInputError(f"target correlation must lie in [-1, 1], got {rho_target!r}")
-    for q in (q_j, q_k):
-        if not np.isfinite(q) or not (0.0 < q < 1.0):
-            raise NonFiniteInputError(f"allele frequency must lie in (0, 1), got {q!r}")
-    if t == 0.0:
-        return 0.0
-    key = (t, float(q_j), float(q_k))
-    hit = _LATENT_CACHE.get(key)
-    if hit is not None:
-        return hit
-
-    denom = np.sqrt(q_j * (1.0 - q_j) * q_k * (1.0 - q_k))
-    rho_hi = (min(q_j, q_k) - q_j * q_k) / denom
-    rho_lo = (max(0.0, q_j + q_k - 1.0) - q_j * q_k) / denom
-    if t > rho_hi + 1e-12 or t < rho_lo - 1e-12:
+    denom = np.sqrt(qj * (1.0 - qj) * qk * (1.0 - qk))
+    rho_hi = (np.minimum(qj, qk) - qj * qk) / denom
+    rho_lo = (np.maximum(0.0, qj + qk - 1.0) - qj * qk) / denom
+    ok = (t <= rho_hi + 1e-12) & (t >= rho_lo - 1e-12)
+    if not ok.all():
+        i = np.argmin(ok)
         raise UnattainableError(
-            f"target {t:g} outside attainable [{rho_lo:.6g}, {rho_hi:.6g}] "
-            f"for q = ({q_j:g}, {q_k:g})")
-    if t >= rho_hi - 1e-12:
-        _LATENT_CACHE[key] = 1.0
-        return 1.0
-    if t <= rho_lo + 1e-12:
-        _LATENT_CACHE[key] = -1.0
-        return -1.0
-
-    h = float(ndtri(q_j))
-    k = float(ndtri(q_k))
-
-    def allele_corr(z: float) -> float:
-        return (_bvn_cdf(h, k, z) - q_j * q_k) / denom
-
-    lo, hi = -1.0, 1.0
-    f_lo = allele_corr(lo) - t   # = rho_lo - t < 0
-    z = 0.0
+            f"target {t[i]:g} outside attainable [{rho_lo[i]:.6g}, {rho_hi[i]:.6g}] "
+            f"for q = ({qj[i]:g}, {qk[i]:g})")
+    # zero maps to zero and a target on a bound to +-1; the rest is bisected
+    z = np.where(t == 0.0, 0.0, np.where(t >= rho_hi - 1e-12, 1.0, -1.0))
+    i = np.flatnonzero((t != 0.0) & (t < rho_hi - 1e-12) & (t > rho_lo + 1e-12))
+    h, k, qq, den, target = ndtri(qj[i]), ndtri(qk[i]), qj[i] * qk[i], denom[i], t[i]
+    lo, hi = np.full(i.size, -1.0), np.full(i.size, 1.0)
+    live = np.arange(i.size)
     for _ in range(200):
-        z = 0.5 * (lo + hi)
-        f = allele_corr(z) - t
-        if abs(f) <= tol:
+        if not live.size:
             break
-        if (f < 0.0) == (f_lo < 0.0):
-            lo, f_lo = z, f
-        else:
-            hi = z
-    _LATENT_CACHE[key] = z
-    return z
+        z[i[live]] = m = 0.5 * (lo[live] + hi[live])
+        f = (_bivariate_normal_cdf(h[live], k[live], m) - qq[live]) / den[live] - target[live]
+        lo[live], hi[live] = np.where(f < 0.0, m, lo[live]), np.where(f < 0.0, hi[live], m)
+        live = live[np.abs(f) > tol]
+    return float(z[0]) if shape == () else z.reshape(shape)
 
 
-_LATENT_CHOL_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+# latent Cholesky factors by (design, L, q), oldest dropped first: rebuilding
+# poly(0.5,1)'s at L = 100 takes 4.5 ms, a fifth of a null_poly replicate
+_LATENT_CACHE: dict[tuple, np.ndarray] = {}
+_LATENT_CACHE_MAX = 16
 
 
-def _latent_chol(spec: LdSpec, L: int, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Target correlation matrix and the Cholesky factor of its latent
-    counterpart, cached per (design, L, q)."""
-    key = (spec._cache_key(), L, q.tobytes())
-    hit = _LATENT_CHOL_CACHE.get(key)
-    if hit is not None:
-        return hit
-    target = build_ld(spec, L)
+def _latent_chol(spec: LdSpec, L: int, q: np.ndarray) -> np.ndarray:
+    """Cholesky factor of the latent correlation matrix behind a design.
+
+    The latent correlations come from one ``solve_latent_correlation`` call
+    over the design's distinct (target, q_j, q_k) triples.
+    """
     if spec.kind == "identity":
-        out = (target, np.eye(L))
-        _LATENT_CHOL_CACHE[key] = out
-        return out
-    latent = np.eye(L)
+        return build_ld(spec, L)
+    key = (spec._cache_key(), L, q.tobytes())
+    chol = _LATENT_CACHE.get(key)
+    if chol is not None:
+        return chol
+    target = build_ld(spec, L)
     jj, kk = np.nonzero(np.triu(target, k=1))
-    for j, k in zip(jj.tolist(), kk.tolist()):
-        z = solve_latent_correlation(float(target[j, k]), float(q[j]), float(q[k]))
-        latent[j, k] = latent[k, j] = z
+    triples = np.column_stack([target[jj, kk], q[jj], q[kk]])
+    # distinct triples, compared by their bytes (much faster than axis=0)
+    _, first, inverse = np.unique(triples.view(np.dtype((np.void, 24))).ravel(),
+                                  return_index=True, return_inverse=True)
+    latent = np.eye(L)
+    latent[jj, kk] = latent[kk, jj] = solve_latent_correlation(*triples[first].T)[inverse]
     chol, info = _chol_or_minor(latent)
     if info:
         raise LatentNotPDError(info, f"latent matrix for design {spec.name} fails at leading minor {info}")
-    out = (target, chol)
-    _LATENT_CHOL_CACHE[key] = out
-    return out
+    if len(_LATENT_CACHE) >= _LATENT_CACHE_MAX:
+        del _LATENT_CACHE[next(iter(_LATENT_CACHE))]
+    _LATENT_CACHE[key] = chol
+    return chol
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +330,7 @@ def simulate_genotypes(n: int, q, ld, seed: int, L: int | None = None) -> Genoty
         spec = LdSpec.explicit(ld)
         L = spec.matrix.shape[0]
     qa = _as_freqs(q, L)
-    _, chol = _latent_chol(spec, L, qa)
+    chol = _latent_chol(spec, L, qa)
 
     thresholds = ndtri(qa)  # allele present when latent value falls below
     gens = column_generators(seed, (TAG_GENOTYPE,), L)

@@ -1,8 +1,11 @@
-"""Shared test plumbing: per-criterion summary lines for the release gate."""
+"""Shared test plumbing: per-criterion summary lines for the release gate,
+and BLAS thread-count fixtures."""
 
 import re
 
 import pytest
+
+from rareweak import _blas
 
 _results: dict[int, bool] = {}
 _details: dict[int, str] = {}
@@ -35,3 +38,31 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         extra = _details.get(n, "")
         terminalreporter.write_line(
             f"criterion {n:2d}: {verdict}" + (f" - {extra}" if extra else ""))
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every managed OpenBLAS copy at two threads for the test, restored after."""
+    controls = _blas._thread_controls()
+    before = [get() for _, get in controls]
+    for setter, _ in controls:
+        setter(2)
+    yield
+    for (setter, _), n in zip(controls, before):
+        setter(n)
+
+
+@pytest.fixture
+def blas_threads_seen(monkeypatch):
+    """record(owner, name) patches owner.name to note the BLAS thread counts
+    at each call, in the list it returns."""
+    def record(owner, name):
+        seen, fn = [], getattr(owner, name)
+
+        def recording(*args, **kwargs):
+            seen.append(_blas.thread_counts())
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, recording)
+        return seen
+    return record

@@ -420,18 +420,6 @@ def _blas_threads_chunk(lo, hi):
     return _blas.thread_counts()
 
 
-@pytest.fixture
-def two_blas_threads():
-    """Every managed OpenBLAS copy at two threads for the test, restored after."""
-    controls = _blas._thread_controls()
-    before = [get() for _, get in controls]
-    for setter, _ in controls:
-        setter(2)
-    yield
-    for (setter, _), n in zip(controls, before):
-        setter(n)
-
-
 @pytest.mark.skipif(not _blas.managed(), reason="this BLAS's thread count cannot be set")
 @pytest.mark.parametrize("workers", [1, 2])
 def test_chunks_run_with_one_blas_thread(two_blas_threads, workers):
@@ -449,6 +437,20 @@ def test_blas_cap_restores_after_an_error(two_blas_threads):
         with _blas.one_thread():
             assert set(_blas.thread_counts()) == {1}
             1 / 0
+    assert _blas.thread_counts() == before
+
+
+@pytest.mark.skipif(not _blas.managed(), reason="this BLAS's thread count cannot be set")
+@pytest.mark.parametrize("call", [
+    lambda X, y: permutation_cutoff("LCT", X, y, n_perms=400, level=0.05, seed=5),
+    lambda X, y: gene_set_statistics([("a", [0, 1, 2]), ("b", [3, 4, 5])], X, y, ["HC", "QT"]),
+], ids=["permutation_cutoff", "gene_set_statistics"])
+def test_work_outside_the_chunks_runs_with_one_blas_thread(two_blas_threads, blas_threads_seen,
+                                                          call):
+    before = _blas.thread_counts()
+    seen = blas_threads_seen(bench, "_stats_for_columns")
+    call(*rank_panel(seed=71, L=6))
+    assert seen and all(counts and set(counts) == {1} for counts in seen)
     assert _blas.thread_counts() == before
 
 

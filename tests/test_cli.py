@@ -6,13 +6,17 @@ import numpy as np
 import pytest
 
 from rareweak import (
+    CoefficientScheme,
     ConfigError,
     EmptyGeneError,
+    LdSpec,
     MalformedCsvError,
     NonFiniteInputError,
+    Scenario,
+    TraitModel,
     UnknownSnpIdError,
 )
-from rareweak import _blas, cli
+from rareweak import _blas, bench, cli
 from rareweak.cli import (
     Config,
     load_config,
@@ -418,6 +422,23 @@ def test_exit_codes(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "BadSampleSizeError" and err["exit_code"] == 4
 
+    # an allele frequency outside (0, 1), through the API and the command line
+    with pytest.raises(NonFiniteInputError):
+        Scenario(L=10, q=1.5, ld=LdSpec.identity(), trait=TraitModel.additive(1.0),
+                 n_signals=2, base_beta=0.5, scheme=CoefficientScheme.fixed(), n=50)
+    bad_q = write(tmp_path / "q.cfg",
+                  "scenario.L = 10\nscenario.n = 50\nscenario.q = 1.5\n"
+                  "scenario.k = 2\nscenario.beta = 0.5\nexecution.n_sims = 100\n")
+    assert main(["power", "--config", bad_q, "--out", str(tmp_path / "q")]) == 4
+    payloads = []
+    for line in capsys.readouterr().err.splitlines():
+        try:
+            payloads.append(json.loads(line))
+        except ValueError:
+            pass
+    assert len(payloads) == 1
+    assert payloads[0]["error"] == "NonFiniteInputError" and payloads[0]["exit_code"] == 4
+
 
 def test_unwritable_output_directory_exits_2(tmp_path, capsys):
     cfg = write(tmp_path / "b.cfg", "scenario.L = 100\nscenario.q = 0.4\nscenario.n = 1000\n")
@@ -509,6 +530,24 @@ def test_uninformative_phenotype_exits_4(tmp_path, capsys, command, cells, error
     assert len(payloads) == 1
     assert payloads[0]["error"] == error and payloads[0]["exit_code"] == 4
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.skipif(not _blas.managed(), reason="this BLAS's thread count cannot be set")
+@pytest.mark.parametrize("command", ["score", "simulate"])
+def test_score_and_simulate_run_with_one_blas_thread(tmp_path, two_blas_threads,
+                                                     blas_threads_seen, command):
+    before = _blas.thread_counts()
+    if command == "score":
+        cfg = _panel_files(tmp_path, [f"{v:.6f}" for v in np.random.default_rng(3).normal(size=40)])
+        logs = [blas_threads_seen(cli, "marginal_stats"),
+                blas_threads_seen(bench, "_stats_for_columns")]
+    else:
+        cfg = write(tmp_path / "s.cfg", "scenario.L = 6\nscenario.n = 40\nscenario.q = 0.4\n"
+                    "scenario.k = 1\nscenario.beta = 0\nscenario.ld = toeplitz:0.2\n")
+        logs = [blas_threads_seen(cli, "simulate_genotypes")]
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert all(seen and all(counts and set(counts) == {1} for counts in seen) for seen in logs)
+    assert _blas.thread_counts() == before
 
 
 @pytest.mark.parametrize("exc", [np.linalg.LinAlgError("Matrix is not positive definite"),

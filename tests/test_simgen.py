@@ -1,7 +1,12 @@
 """Correlated genotype, signal, and trait generators."""
 
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import ndtr
 from scipy.stats import chi2, chisquare
 
 from rareweak import (
@@ -22,6 +27,7 @@ from rareweak import (
     six_toeplitz_designs,
     solve_latent_correlation,
 )
+from rareweak import simgen
 
 
 # --- design construction ------------------------------------------------------
@@ -68,8 +74,33 @@ def test_six_designs_all_build():
 # --- latent copula solver -----------------------------------------------------
 
 
+def _bvn_reference(h, k, rho):
+    """P(Z1 <= h, Z2 <= k) by quadrature of the conditional cdf, split where
+    it steps when |rho| is near 1."""
+    s = np.sqrt(1.0 - rho * rho)
+
+    def integrand(z):
+        return np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi) * ndtr((k - rho * z) / s)
+
+    edges = [-np.inf] + ([k / rho] if k / rho < h else []) + [h]
+    return sum(quad(integrand, a, b, epsabs=1e-16, epsrel=1e-15, limit=500)[0]
+               for a, b in zip(edges[:-1], edges[1:]))
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_bivariate_normal_cdf_matches_quadrature():
+    # h = k, h != k, a zero margin (q = 1/2), negative rho and |rho| near 1
+    margins = (-1.5, -0.3, 0.0, 0.7, 2.0)
+    for h, k in itertools.product(margins, margins):
+        for rho in (-0.999, -0.6, -0.1, 0.2, 0.75, 0.999):
+            got = simgen._bivariate_normal_cdf(h, k, rho)
+            assert abs(got - _bvn_reference(h, k, rho)) <= 1e-14, (h, k, rho)
+
+
 def test_latent_zero_maps_to_zero():
     assert solve_latent_correlation(0.0, 0.3, 0.4) == 0.0
+    np.testing.assert_array_equal(
+        solve_latent_correlation(np.zeros(3), np.full(3, 0.3), np.full(3, 0.4)), 0.0)
 
 
 def test_latent_symmetric_margin_closed_form():
@@ -81,15 +112,42 @@ def test_latent_symmetric_margin_closed_form():
         assert got == pytest.approx(want, abs=2e-8)
 
 
+def test_latent_array_call_equals_scalar_calls():
+    # zero, both Frechet bounds, a q = 1/2 margin, negative targets, 2-d shape
+    q_j = np.array([[0.4, 0.4, 0.1, 0.5, 0.2, 0.3],
+                    [0.1, 0.45, 0.5, 0.25, 0.4, 0.35]])
+    q_k = np.array([[0.4, 0.4, 0.9, 0.3, 0.45, 0.3],
+                    [0.5, 0.2, 0.5, 0.1, 0.4, 0.15]])
+    hi = (np.minimum(q_j, q_k) - q_j * q_k) / np.sqrt(q_j * (1 - q_j) * q_k * (1 - q_k))
+    target = np.array([[0.0, 0.3, -1.0, 0.25, -0.2, 0.6],
+                       [0.2, -0.1, 0.8, 0.15, 0.5, -0.05]])
+    target[0, 5] = hi[0, 5]
+    z = solve_latent_correlation(target, q_j, q_k)
+    assert z.shape == target.shape
+    want = np.array([solve_latent_correlation(t, a, b)
+                     for t, a, b in zip(target.ravel(), q_j.ravel(), q_k.ravel())])
+    np.testing.assert_array_equal(z.ravel(), want)
+    assert z[0, 0] == 0.0 and z[0, 2] == -1.0 and z[0, 5] == 1.0
+
+
 def test_latent_unattainable_target():
     with pytest.raises(UnattainableError):
         solve_latent_correlation(0.99, 0.1, 0.9)
+    with pytest.raises(UnattainableError, match="target 0.95 "):
+        solve_latent_correlation(np.array([0.2, 0.95, 0.1]), np.array([0.4, 0.1, 0.3]),
+                                 np.array([0.4, 0.9, 0.3]))
 
 
 def test_latent_symmetry_in_margins():
     a = solve_latent_correlation(0.25, 0.2, 0.45)
     b = solve_latent_correlation(0.25, 0.45, 0.2)
     assert a == pytest.approx(b, abs=1e-10)
+
+
+def test_latent_factor_cache_is_bounded():
+    for i in range(simgen._LATENT_CACHE_MAX + 4):
+        simulate_genotypes(2, 0.4, LdSpec.toeplitz(0.01 * (i + 1)), seed=1, L=3)
+        assert len(simgen._LATENT_CACHE) <= simgen._LATENT_CACHE_MAX
 
 
 # --- genotype simulation ------------------------------------------------------
@@ -141,6 +199,26 @@ def test_genotype_determinism_and_prefix_stability():
     np.testing.assert_array_equal(wide.entries[:, :6], a.entries)
     c = simulate_genotypes(200, 0.4, LdSpec.toeplitz(0.3), seed=10, L=6)
     assert np.any(c.entries != a.entries)
+
+
+@pytest.mark.parametrize("spec,q,seed,panel_sha,latent_sha", [
+    (LdSpec.poly_decay(0.5, 1.0), np.full(100, 0.4), 11,
+     "5916453b84d85b51c9f002a75606f2d230688872247670ca6f02cf4454625054",
+     "2d155b585493f644910420955dc6f93e55e5aaf7fa6f4a673f29907228e59303"),
+    (LdSpec.toeplitz(0.25, 0.3), np.linspace(0.1, 0.5, 9), 12,
+     "d0c12976e303bfd99d6a439ee19d28e595addb50c4ab1d6dc226f64e175edb7a",
+     "b73be787aeed566e7ff34dcffd961076576a6286cc0578cdeb7593e98c65ef2c"),
+])
+def test_panels_and_latent_correlations_are_pinned(spec, q, seed, panel_sha, latent_sha):
+    # digests of the panels and latent correlations that the earlier,
+    # quadrature-based solver produced: a moved latent correlation or a
+    # changed random stream changes one of them
+    X = simulate_genotypes(200, q, spec, seed=seed)
+    assert hashlib.sha256(X.entries.tobytes()).hexdigest() == panel_sha
+    target = build_ld(spec, q.size)
+    jj, kk = np.nonzero(np.triu(target, k=1))
+    z = solve_latent_correlation(target[jj, kk], q[jj], q[kk])
+    assert hashlib.sha256(z.tobytes()).hexdigest() == latent_sha
 
 
 def test_genotypes_accept_per_column_frequencies():
