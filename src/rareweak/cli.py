@@ -3,6 +3,8 @@
 Subcommands: ``boundary`` (detectability curves), ``simulate`` (one synthetic
 dataset), ``score`` (statistics on provided data), ``power`` / ``fdr``
 (Monte Carlo studies), ``rank`` (permutation ranking of gene sets).
+``score`` and ``rank`` also write ``ingest.csv``: what quality control did
+to each genotype column (kept, imputed or dropped, with the reason).
 
 Configs are flat ``key=value`` text with dotted keys and ``#`` comments:
 
@@ -259,12 +261,29 @@ class IngestReport:
     kept: tuple[str, ...]
     dropped: tuple[tuple[str, str], ...]        # (snp id, reason)
     imputed: tuple[tuple[str, int], ...]        # (snp id, cells imputed)
+    snps: tuple[str, ...]                       # every column of the file, in order
 
     def log(self):
         for snp, reason in self.dropped:
             logger.info("ingest: dropped column %s (%s)", snp, reason)
         for snp, count in self.imputed:
             logger.info("ingest: imputed %d cell(s) in column %s", count, snp)
+
+    def csv(self) -> str:
+        """The ``ingest.csv`` artifact: snp, action and detail for every
+        column of the file, in file order; action is kept, imputed (and
+        kept) or dropped."""
+        dropped, imputed = dict(self.dropped), dict(self.imputed)
+        rows = []
+        for snp in self.snps:
+            if snp in dropped:
+                rows.append((snp, "dropped", dropped[snp]))
+            elif snp in imputed:
+                rows.append((snp, "imputed",
+                             f"{imputed[snp]}/{self.n_rows} cells set to the column mean"))
+            else:
+                rows.append((snp, "kept", ""))
+        return csv_text(("snp", "action", "detail"), rows)
 
 
 @dataclass(frozen=True)
@@ -368,7 +387,7 @@ def load_genotype_csv(path: str, max_missing: float = 0.1,
         raise AllColumnsDroppedError(f"{path}: every column failed quality control")
 
     report = IngestReport(n_rows=n, kept=tuple(ids[j] for j in keep_cols),
-                          dropped=tuple(dropped), imputed=tuple(imputed))
+                          dropped=tuple(dropped), imputed=tuple(imputed), snps=tuple(ids))
     report.log()
     return LoadedGenotypes(matrix=GenotypeMatrix(entries=data[:, keep_cols]),
                            snp_ids=report.kept, report=report)
@@ -686,10 +705,6 @@ def _load_panel(cfg: Config) -> tuple[LoadedGenotypes, Phenotype, str]:
     return loaded, pheno, trait_kind
 
 
-def _all_header_ids(loaded: LoadedGenotypes) -> tuple[str, ...]:
-    return loaded.snp_ids + tuple(snp for snp, _ in loaded.report.dropped)
-
-
 def _cmd_score(cfg: Config, out_dir: Path, seed: int, workers: int) -> list[Path]:
     loaded, pheno, trait_kind = _load_panel(cfg)
     stat_kind = "t" if trait_kind == "quantitative" else "d"
@@ -701,7 +716,7 @@ def _cmd_score(cfg: Config, out_dir: Path, seed: int, workers: int) -> list[Path
                                  csv_text(("snp", "statistic", "pvalue"), marg_rows), meta)]
 
     if cfg.has("io.gene_map"):
-        gm = load_gene_map(cfg.get("io.gene_map"), loaded.snp_ids, _all_header_ids(loaded))
+        gm = load_gene_map(cfg.get("io.gene_map"), loaded.snp_ids, loaded.report.snps)
         gene_list = gm.as_sequences()
     else:
         gene_list = [("all", np.arange(loaded.matrix.n_snps, dtype=np.int64))]
@@ -711,6 +726,7 @@ def _cmd_score(cfg: Config, out_dir: Path, seed: int, workers: int) -> list[Path
             for gi, (name, idx) in enumerate(gene_list)]
     header = ["gene", "snps"] + [f"stat_{m}" for m in stats]
     artifacts.append(_write_artifact(out_dir, "set_statistics", csv_text(header, rows), meta))
+    artifacts.append(_write_artifact(out_dir, "ingest", loaded.report.csv(), meta))
     return artifacts
 
 
@@ -743,13 +759,14 @@ def _cmd_fdr(cfg: Config, out_dir: Path, seed: int, workers: int) -> list[Path]:
 
 def _cmd_rank(cfg: Config, out_dir: Path, seed: int, workers: int) -> list[Path]:
     loaded, pheno, trait_kind = _load_panel(cfg)
-    gm = load_gene_map(cfg.get("io.gene_map"), loaded.snp_ids, _all_header_ids(loaded))
+    gm = load_gene_map(cfg.get("io.gene_map"), loaded.snp_ids, loaded.report.snps)
     methods = _methods_from_cfg(cfg, trait_kind)
     ranking = rank_gene_sets(gm.as_sequences(), loaded.matrix, pheno, methods,
                              n_perms=cfg.get("execution.n_perms", "10000"),
                              seed=seed, workers=workers)
     meta = _meta("rank", cfg, seed, workers)
-    artifacts = [_write_artifact(out_dir, "rank", ranking_csv(ranking), meta)]
+    artifacts = [_write_artifact(out_dir, "rank", ranking_csv(ranking), meta),
+                 _write_artifact(out_dir, "ingest", loaded.report.csv(), meta)]
     targets = cfg.get_optional("rank.target_genes")
     if targets:
         averages = ranking.average_ranks(targets)

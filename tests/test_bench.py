@@ -1,5 +1,7 @@
 """Permutation-calibrated power, FDR, and ranking machinery."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -149,10 +151,10 @@ def test_kernel_columns_match_public_scalar_functions(trait_kind):
 
 @pytest.fixture
 def no_permutations(monkeypatch):
-    """Fails the test if a permuted response matrix is ever built."""
+    """Fails the test if a permutation is ever drawn: patches the one drawing site."""
     def refuse(*args):
         raise AssertionError("permutations drawn before the inputs were validated")
-    monkeypatch.setattr(bench, "_permuted_responses", refuse)
+    monkeypatch.setattr(bench, "_permutation_slabs", refuse)
 
 
 def _bad_responses(n):
@@ -170,6 +172,12 @@ def test_rank_rejects_constant_or_nonfinite_response(no_permutations):
                                n_perms=100, seed=1)
             if error is ConstantColumnError:
                 assert err.value.index == -1
+    # valid inputs reach the drawing site, so the fixture would catch a draw
+    # made before validation
+    with pytest.raises(AssertionError, match="permutations drawn"):
+        rank_gene_sets([("a", [0, 1]), ("b", [2, 3])], X, y, ["HC"], n_perms=100, seed=1)
+    with pytest.raises(AssertionError, match="permutations drawn"):
+        permutation_cutoff("HC", X, y, n_perms=400, level=0.05, seed=1)
 
 
 def test_permutation_cutoff_rejects_constant_or_nonfinite_response(no_permutations):
@@ -414,6 +422,114 @@ def test_rank_pool_ships_no_response_matrix(monkeypatch):
     arrays = [a for a in shipped if isinstance(a, np.ndarray)]
     assert arrays
     assert max(a.nbytes for a in arrays) <= X.nbytes
+
+
+# --- streamed permutations ------------------------------------------------------
+
+
+def pinned_panel():
+    rng = np.random.default_rng(95)
+    X = rng.binomial(2, 0.3, size=(150, 16)).astype(float)
+    y = rng.standard_normal(150)
+    labels = rng.permutation(np.repeat([1.0, 0.0], [60, 90]))
+    return X, y, labels
+
+
+# sha256 of ranking_csv on pinned_panel, and permutation_cutoff values, as
+# computed from one (n, 1 + n_perms) response block before ranking and the
+# cutoff were streamed in slabs
+PINNED_RANK_SHA256 = {
+    "quantitative": "07ec5bb956c17cd1cc7f910cbee135acd58297684f34af77792d90dce5971d2f",
+    "binary": "16648192600072cb436837427de4a8ba809f31bfb27767db41a169b4a9d20b0c",
+}
+PINNED_CUTOFF = {"quantitative": 25.90965505937148, "binary": 1.7383208161612385}
+
+
+def _pinned_inputs(trait_kind):
+    X, y, labels = pinned_panel()
+    if trait_kind == "binary":
+        return X, Phenotype(values=labels, kind="binary"), ["HC", "MinP", "LCT", "QT", "DT"]
+    return X, y, list(METHOD_NAMES)
+
+
+def _slab_columns(monkeypatch, n, width):
+    monkeypatch.setattr(bench, "_SLAB_BYTES", 8 * n * width)
+    assert bench._slab_width(n) == width
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("width", [7, 64, 301])
+@pytest.mark.parametrize("trait_kind", ["quantitative", "binary"])
+def test_streamed_ranking_matches_the_pinned_block_result(monkeypatch, trait_kind, width, workers):
+    X, y, methods = _pinned_inputs(trait_kind)
+    _slab_columns(monkeypatch, X.shape[0], width)
+    genes = [(f"g{i}", list(range(4 * i, 4 * i + 4))) for i in range(4)]
+    ranking = rank_gene_sets(genes, X, y, methods, n_perms=300, seed=5, workers=workers)
+    digest = hashlib.sha256(ranking_csv(ranking).encode("utf-8")).hexdigest()
+    assert digest == PINNED_RANK_SHA256[trait_kind]
+
+
+@pytest.mark.parametrize("width", [7, 64, 2001])
+@pytest.mark.parametrize("trait_kind", ["quantitative", "binary"])
+def test_streamed_cutoff_matches_the_pinned_block_result(monkeypatch, trait_kind, width):
+    X, y, _ = _pinned_inputs(trait_kind)
+    _slab_columns(monkeypatch, X.shape[0], width)
+    method = "QT" if trait_kind == "quantitative" else "HC"
+    cut = permutation_cutoff(method, X, y, n_perms=2000, level=0.05, seed=9)
+    assert cut == PINNED_CUTOFF[trait_kind]
+
+
+def test_no_kernel_call_sees_more_than_one_slab(monkeypatch):
+    X, y = rank_panel(seed=79, n=120, L=8)
+    width = 700
+    _slab_columns(monkeypatch, X.shape[0], width)
+    seen = []
+    real = bench._stats_for_columns
+
+    def recorder(X, Y, trait_kind, needs, ynorm=None):
+        seen.append(Y.shape[1])
+        return real(X, Y, trait_kind, needs, ynorm)
+
+    monkeypatch.setattr(bench, "_stats_for_columns", recorder)
+    genes = [("a", [0, 1, 2, 3]), ("b", [4, 5, 6, 7])]
+    rank_gene_sets(genes, X, y, ["HC", "QT"], n_perms=10_000, seed=3)
+    assert max(seen) <= width and sum(seen) == len(genes) * 10_001
+    seen.clear()
+    permutation_cutoff("LCT", X, y, n_perms=10_000, level=0.05, seed=3)
+    assert max(seen) <= width and sum(seen) == 10_001
+
+
+def test_slab_width_follows_the_byte_budget():
+    for n in (2, 150, 2000, 5000):
+        width = bench._slab_width(n)
+        assert 8 * n * width <= bench._SLAB_BYTES < 8 * n * (width + 1)
+    assert bench._slab_width(bench._SLAB_BYTES) == 1
+
+
+def imputed_case_control_panel():
+    """40 samples, 40 genes of 3 SNPs at q = 0.2, about 1% of cells imputed
+    with the column mean: many permutations tie the observed case counts."""
+    rng = np.random.default_rng(8)
+    X = rng.binomial(2, 0.2, size=(40, 120)).astype(float)
+    missing = rng.random(X.shape) < 0.01
+    for j in range(X.shape[1]):
+        X[missing[:, j], j] = X[~missing[:, j], j].mean()
+    labels = np.zeros(40)
+    labels[rng.permutation(40)[:20]] = 1.0
+    return X, Phenotype(values=labels, kind="binary")
+
+
+def test_tied_permuted_statistics_count_whatever_the_column_order():
+    # HC, MinP, LCT and QT do not depend on the order of a gene's columns in
+    # exact arithmetic, so neither may their p-values; DT does (it whitens by
+    # a Cholesky factor, which the order changes), so it is left out
+    X, y = imputed_case_control_panel()
+    genes = [(f"g{i}", list(range(3 * i, 3 * i + 3))) for i in range(40)]
+    reversed_genes = [(name, idx[::-1]) for name, idx in genes]
+    methods = ["HC", "MinP", "LCT", "QT"]
+    a = rank_gene_sets(genes, X, y, methods, n_perms=1000, seed=8)
+    b = rank_gene_sets(reversed_genes, X, y, methods, n_perms=1000, seed=8)
+    np.testing.assert_array_equal(a.pvalues, b.pvalues)
 
 
 def _blas_threads_chunk(lo, hi):

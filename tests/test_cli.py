@@ -319,6 +319,36 @@ execution.n_perms = 200
         assert all(float(r[f"pvalue_{mname}"]) >= 1.0 / 201.0 for r in rank)
 
 
+@pytest.mark.parametrize("command", ["rank", "score"])
+def test_ingest_report_is_written_as_an_artifact(tmp_path, command):
+    rng = np.random.default_rng(89)
+    geno = rng.binomial(2, 0.4, size=(40, 5)).astype(str)
+    geno[:, 1] = "1"          # constant: dropped
+    geno[[3, 17], 3] = "NA"   # two missing cells: imputed
+    ids = [f"snp_{j + 1}" for j in range(5)]
+    write(tmp_path / "g.csv", ",".join(ids) + "\n" + "".join(",".join(r) + "\n" for r in geno))
+    write(tmp_path / "p.csv",
+          "phenotype\n" + "".join(f"{float(v)!r}\n" for v in rng.standard_normal(40)))
+    write(tmp_path / "m.csv", "gene,snp\n" + "".join(f"G{j // 3},{s}\n" for j, s in enumerate(ids)))
+    cfg = write(tmp_path / "a.cfg", f"""
+io.genotypes = {tmp_path / 'g.csv'}
+io.phenotype = {tmp_path / 'p.csv'}
+io.gene_map = {tmp_path / 'm.csv'}
+analysis.methods = HC,QT
+execution.n_perms = 100
+""")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "ingest.csv").read_text() == (
+        "snp,action,detail\n"
+        "snp_1,kept,\n"
+        "snp_2,dropped,constant\n"
+        "snp_3,kept,\n"
+        "snp_4,imputed,2/40 cells set to the column mean\n"
+        "snp_5,kept,\n")
+    assert json.loads((out / "ingest.meta.json").read_text())["command"] == command
+
+
 def test_sidecar_config_reproduces_run(tmp_path):
     cfg = simulate_cfg(tmp_path)
     out1, out2 = tmp_path / "a", tmp_path / "b"
