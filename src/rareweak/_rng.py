@@ -10,6 +10,16 @@ matter downstream:
   enlarging a simulated panel never reshuffles the columns already drawn;
 * replicate substreams are independent of scheduling, so results do not
   depend on how replicates are split across worker processes.
+
+Correlated genotype panels key one Philox per column (``column_generators``)
+and draw normals from it.  Identity panels instead read raw 64-bit words
+from the single ``(seed, TAG_GENOTYPE)`` substream: column j of an n-row
+panel is words j*n .. (j+1)*n - 1, a fixed counter offset, and each word's
+low and high 32-bit halves are the cell's two haplotypes, carrying the
+allele when below t = round(q * 2^32), so P(allele) = t / 2^32.
+
+``RNG_STREAMS`` numbers the layout of these streams; every artifact sidecar
+records it, and it grows whenever a seed stops reproducing an artifact.
 """
 
 from __future__ import annotations
@@ -17,6 +27,8 @@ from __future__ import annotations
 import numpy as np
 
 RNG_ALGORITHM = "philox4x64"
+# version of the stream layout; README lists what each version changed
+RNG_STREAMS = 2
 
 # purpose tags for seed paths; values are arbitrary but frozen, since
 # changing them changes every stream derived from a given seed

@@ -16,8 +16,8 @@ Configs are flat ``key=value`` text with dotted keys and ``#`` comments:
 
 Unknown keys are rejected.  Every artifact ``name.csv`` gets a
 ``name.meta.json`` sidecar holding the fully-resolved config, seed, RNG
-algorithm and environment (Python, NumPy, SciPy, BLAS, cores), so a run can
-be reproduced from its outputs alone.  Exit codes: 0 ok, 2 config error
+algorithm, stream version (``rng_streams``) and environment (Python, NumPy,
+SciPy, BLAS, cores), so a run can be reproduced from its outputs alone.  Exit codes: 0 ok, 2 config error
 (including an output directory that cannot be written), 3 data error,
 4 numeric failure (including a LAPACK error or running out of memory).
 """
@@ -41,7 +41,7 @@ from scipy.stats import chi2 as _chi2
 
 from . import __version__
 from ._blas import managed as blas_managed, one_thread
-from ._rng import RNG_ALGORITHM
+from ._rng import RNG_ALGORITHM, RNG_STREAMS
 from .bench import (
     METHOD_NAMES,
     Scenario,
@@ -502,6 +502,7 @@ def _write_artifact(out_dir: Path, name: str, text: str, meta: dict) -> Path:
     sidecar = dict(meta)
     sidecar["artifact"] = csv_path.name
     sidecar["rng"] = RNG_ALGORITHM
+    sidecar["rng_streams"] = RNG_STREAMS
     sidecar["version"] = __version__
     sidecar["env"] = _environment()
     (out_dir / f"{name}.meta.json").write_text(

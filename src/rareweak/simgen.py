@@ -1,20 +1,30 @@
 """Synthetic genotype panels with controlled column correlation, plus
 additive and case/control trait models on top of them.
 
-Genotypes are built at the haplotype level: each column gets a latent
-standard normal, columns are mixed to a solved latent correlation, each
-latent value is thresholded at the allele frequency's normal quantile to
-give one allele, and two independent haplotype draws are summed.  Each
-latent correlation is chosen so that the *genotype* correlation hits the
-requested target: a bisection on the bivariate normal CDF, which has a
-closed form through Owen's T function, run once per design over all its
-distinct (target, q_j, q_k) at once.  Summing two independent haplotypes
-keeps the genotype correlation equal to the allele correlation and the
-marginals exactly binomial(2, q).
+Genotypes are built at the haplotype level: each column gets one allele
+draw per haplotype, and two independent haplotype draws are summed.
 
-Randomness is Philox-based with per-column substreams (see ``_rng``), so
-simulated panels are reproducible and column j's draw does not depend on
-how many columns sit to its right.
+* Identity designs draw no normals.  The panel reads L * n raw 64-bit words
+  from one Philox stream (``substream(seed, TAG_GENOTYPE)``), column j
+  taking words j*n .. (j+1)*n - 1, so column j does not depend on L.  The
+  low 32 bits of sample i's word give haplotype 0 and the high 32 bits
+  haplotype 1; an allele is present when its half is below
+  t_j = round(q_j * 2^32), so P(allele) = t_j / 2^32 exactly, within 2^-33
+  of q_j, and the counts are binomial(2, t_j / 2^32).
+* Correlated designs give each column a latent standard normal per
+  haplotype from its own keyed generator (``column_generators``), mix the
+  columns to a solved latent correlation, and threshold each latent value
+  at the allele frequency's normal quantile.  Each latent correlation is
+  chosen so that the *genotype* correlation hits the requested target: a
+  bisection on the bivariate normal CDF, which has a closed form through
+  Owen's T function, run once per design over all its distinct
+  (target, q_j, q_k) at once.  Summing two independent haplotypes keeps the
+  genotype correlation equal to the allele correlation and the marginals
+  exactly binomial(2, q).
+
+Randomness is Philox-based (see ``_rng``), so simulated panels are
+reproducible and column j's draw does not depend on how many columns sit
+to its right.
 """
 
 from __future__ import annotations
@@ -268,10 +278,12 @@ def _latent_chol(spec: LdSpec, L: int, q: np.ndarray) -> np.ndarray:
     """Cholesky factor of the latent correlation matrix behind a design.
 
     The latent correlations come from one ``solve_latent_correlation`` call
-    over the design's distinct (target, q_j, q_k) triples.
+    over the design's distinct (target, q_j, q_k) triples.  Each pair's
+    target may be attainable while the matrix of latent correlations is not
+    positive definite, as for toeplitz(0.3) at q <= 0.2: no Gaussian copula
+    then reaches every target at once, and the design is refused with
+    ``LatentNotPDError`` rather than projected to a nearby matrix.
     """
-    if spec.kind == "identity":
-        return build_ld(spec, L)
     key = (spec._cache_key(), L, q.tobytes())
     chol = _LATENT_CACHE.get(key)
     if chol is not None:
@@ -286,7 +298,11 @@ def _latent_chol(spec: LdSpec, L: int, q: np.ndarray) -> np.ndarray:
     latent[jj, kk] = latent[kk, jj] = solve_latent_correlation(*triples[first].T)[inverse]
     chol, info = _chol_or_minor(latent)
     if info:
-        raise LatentNotPDError(info, f"latent matrix for design {spec.name} fails at leading minor {info}")
+        raise LatentNotPDError(info, (
+            f"design {spec.name} at L={L}, q in [{q.min():g}, {q.max():g}]: every pairwise "
+            f"target is attainable, but the latent correlation matrix is not positive "
+            f"definite (leading minor {info}); no Gaussian-threshold panel has these "
+            f"correlations, so use weaker correlations or commoner alleles"))
     if len(_LATENT_CACHE) >= _LATENT_CACHE_MAX:
         del _LATENT_CACHE[next(iter(_LATENT_CACHE))]
     _LATENT_CACHE[key] = chol
@@ -315,7 +331,10 @@ def simulate_genotypes(n: int, q, ld, seed: int, L: int | None = None) -> Genoty
 
     ``ld`` is an :class:`LdSpec` or an explicit target correlation matrix;
     ``q`` is a scalar or per-column allele frequency.  Marginals are exactly
-    binomial(2, q_j) by construction.
+    binomial(2, q_j) for correlated designs, and binomial(2, q_j rounded to
+    a multiple of 2^-32) for identity panels, which draw raw Philox words
+    (see the module docstring).  ``LdSpec.explicit(np.eye(L))`` takes the
+    correlated path, so it draws a different panel from ``identity``.
     """
     if n < 2:
         raise BadSampleSizeError(f"need n >= 2, got {n}")
@@ -330,6 +349,12 @@ def simulate_genotypes(n: int, q, ld, seed: int, L: int | None = None) -> Genoty
         spec = LdSpec.explicit(ld)
         L = spec.matrix.shape[0]
     qa = _as_freqs(q, L)
+    if spec.kind == "identity":
+        # raw Philox words in the layout the module docstring gives
+        words = substream(seed, TAG_GENOTYPE).bit_generator.random_raw(L * n).reshape(L, n)
+        t = np.rint(qa * 2.0 ** 32).astype(np.uint64)[:, None]
+        counts = np.add((words & 0xFFFFFFFF) < t, (words >> 32) < t, dtype=np.uint8)
+        return GenotypeMatrix(entries=counts.T.astype(np.float64, order="C"))
     chol = _latent_chol(spec, L, qa)
 
     thresholds = ndtri(qa)  # allele present when latent value falls below
@@ -338,11 +363,10 @@ def simulate_genotypes(n: int, q, ld, seed: int, L: int | None = None) -> Genoty
     for j, g in enumerate(gens):
         raw[:, :, j] = g.standard_normal((2, n))
     counts = np.zeros((n, L), dtype=np.float64)
-    identity = spec.kind == "identity"
     for a in (0, 1):
-        latent = raw[a] if identity else raw[a] @ chol.T
-        counts += latent <= thresholds
+        counts += raw[a] @ chol.T <= thresholds
     return GenotypeMatrix(entries=counts)
+
 
 
 # ---------------------------------------------------------------------------

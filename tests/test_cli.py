@@ -505,6 +505,34 @@ def test_sidecar_records_blas_threads_in_effect(tmp_path, monkeypatch):
     assert env["blas_threads"]["in_effect"] == "unmanaged"
 
 
+def test_every_sidecar_records_the_stream_version(tmp_path):
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", simulate_cfg(tmp_path), "--out", str(out)]) == 0
+    sidecars = sorted(out.glob("*.meta.json"))
+    assert [p.name for p in sidecars] == ["genotypes.meta.json", "phenotype.meta.json"]
+    for path in sidecars:
+        meta = json.loads(path.read_text())
+        assert meta["rng"] == "philox4x64" and meta["rng_streams"] == 2
+
+
+def test_latent_matrix_not_pd_exits_4_with_one_json_line(tmp_path, capsys):
+    # every pairwise toeplitz(0.3) target is attainable at q = 0.1, but
+    # their latent correlation matrix is not positive definite
+    cfg = write(tmp_path / "rare.cfg", "scenario.L = 20\nscenario.n = 50\nscenario.q = 0.1\n"
+                "scenario.k = 2\nscenario.beta = 0.5\nscenario.ld = toeplitz:0.3\n")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+    payloads = []
+    for line in capsys.readouterr().err.splitlines():
+        try:
+            payloads.append(json.loads(line))
+        except ValueError:
+            pass
+    assert len(payloads) == 1
+    assert payloads[0]["error"] == "LatentNotPDError" and payloads[0]["exit_code"] == 4
+    assert "toeplitz(0.3) at L=20, q in [0.1, 0.1]" in payloads[0]["message"]
+    assert "leading minor 6" in payloads[0]["message"]
+
+
 def test_workers_resolution_order(tmp_path, monkeypatch):
     cfg = simulate_cfg(tmp_path)
     out = tmp_path / "env"

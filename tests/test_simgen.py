@@ -13,6 +13,7 @@ from rareweak import (
     BadKError,
     CoefficientScheme,
     DimensionMismatchError,
+    LatentNotPDError,
     LdSpec,
     NotPositiveDefiniteError,
     QuotaStallError,
@@ -28,6 +29,7 @@ from rareweak import (
     solve_latent_correlation,
 )
 from rareweak import simgen
+from rareweak._rng import TAG_GENOTYPE, substream
 
 
 # --- design construction ------------------------------------------------------
@@ -191,14 +193,72 @@ def test_correlation_fidelity_all_six_designs():
 
 
 def test_genotype_determinism_and_prefix_stability():
-    a = simulate_genotypes(200, 0.4, LdSpec.toeplitz(0.3), seed=9, L=6)
-    b = simulate_genotypes(200, 0.4, LdSpec.toeplitz(0.3), seed=9, L=6)
-    np.testing.assert_array_equal(a.entries, b.entries)
-    # widening the panel must not reshuffle the earlier columns
-    wide = simulate_genotypes(200, 0.4, LdSpec.toeplitz(0.3), seed=9, L=10)
-    np.testing.assert_array_equal(wide.entries[:, :6], a.entries)
-    c = simulate_genotypes(200, 0.4, LdSpec.toeplitz(0.3), seed=10, L=6)
-    assert np.any(c.entries != a.entries)
+    # the correlated path (keyed generator per column) and the identity
+    # path (one raw-word stream) alike
+    for spec in (LdSpec.toeplitz(0.3), LdSpec.identity()):
+        a = simulate_genotypes(200, 0.4, spec, seed=9, L=6)
+        b = simulate_genotypes(200, 0.4, spec, seed=9, L=6)
+        np.testing.assert_array_equal(a.entries, b.entries)
+        # widening the panel must not reshuffle the earlier columns
+        wide = simulate_genotypes(200, 0.4, spec, seed=9, L=10)
+        np.testing.assert_array_equal(wide.entries[:, :6], a.entries)
+        c = simulate_genotypes(200, 0.4, spec, seed=10, L=6)
+        assert np.any(c.entries != a.entries)
+
+
+def test_identity_panel_reads_word_halves_per_column():
+    # reference layout, one cell at a time: column j is words j*n..(j+1)*n-1
+    # of the genotype substream; low half = haplotype 0, high half = haplotype 1
+    n, q, seed = 7, np.array([0.1, 0.5, 0.35, 0.9]), 21
+    X = simulate_genotypes(n, q, LdSpec.identity(), seed=seed)
+    words = substream(seed, TAG_GENOTYPE).bit_generator.random_raw(q.size * n)
+    for j, qj in enumerate(q):
+        t = round(float(qj) * 2 ** 32)
+        for i in range(n):
+            w = int(words[j * n + i])
+            assert X.entries[i, j] == (w % 2 ** 32 < t) + (w // 2 ** 32 < t)
+    assert X.entries.flags.c_contiguous
+
+
+def test_identity_allele_rates_within_binomial_error():
+    q = np.repeat([0.01, 0.05, 0.5, 0.99], 2)
+    n = 100_000
+    X = simulate_genotypes(n, q, LdSpec.identity(), seed=47)
+    rate = X.entries.mean(axis=0) / 2.0
+    se = np.sqrt(q * (1.0 - q) / (2 * n))
+    assert np.all(np.abs(rate - q) <= 4.0 * se), (rate - q) / se
+
+
+def test_identity_columns_and_word_halves_are_independent():
+    q = np.array([0.05, 0.3, 0.5, 0.7, 0.95])
+    n = 100_000
+    e = simulate_genotypes(n, q, LdSpec.identity(), seed=53).entries
+    # adjacent columns uncorrelated: |r| within 4 standard errors of 0
+    m = empirical_correlation(e).matrix
+    assert np.all(np.abs(np.diag(m, 1)) <= 4.0 / np.sqrt(n))
+    # both halves of a word carry the allele with probability q^2 only if
+    # the halves are independent
+    hom = (e == 2.0).mean(axis=0)
+    se = np.sqrt(q ** 2 * (1.0 - q ** 2) / n)
+    assert np.all(np.abs(hom - q ** 2) <= 4.0 * se), (hom - q ** 2) / se
+
+
+def test_identity_panel_is_pinned():
+    # digest of the raw-word identity stream (sidecar rng_streams 2)
+    X = simulate_genotypes(200, np.linspace(0.05, 0.5, 10), LdSpec.identity(), seed=13)
+    assert (hashlib.sha256(X.entries.tobytes()).hexdigest()
+            == "70b5aa9ea4c2c5a3368681ca46f255aeebfb3ed3f4e6597cfee850346d102474")
+
+
+def test_latent_matrix_not_pd_is_refused_with_its_cause():
+    # each toeplitz(0.3) pair is attainable at q = 0.1; together their latent
+    # correlations are not positive definite
+    with pytest.raises(LatentNotPDError) as info:
+        simulate_genotypes(50, 0.1, LdSpec.toeplitz(0.3), seed=1, L=20)
+    assert info.value.minor_index == 6
+    msg = str(info.value)
+    assert "toeplitz(0.3) at L=20, q in [0.1, 0.1]" in msg
+    assert "every pairwise target is attainable" in msg and "leading minor 6" in msg
 
 
 @pytest.mark.parametrize("spec,q,seed,panel_sha,latent_sha", [
