@@ -21,11 +21,14 @@ No statistic is computed here.  ``_stats_for_columns`` composes the batched
 kernels of ``core_stats`` (scores, p-values) and ``detectors`` (row-wise HC,
 correlation matrix, signed LCT, whitened QT and DT) and adds the orientation:
 |LCT|, since the public ``linear_combination_test`` is signed, and max |score|
-for MinP.  Entry points validate inputs once, with
+for MinP.  Scores and Sigma both come from the panel's standardised copy Z:
+the scores from Z' Y, Sigma as Z' Z.  Entry points validate inputs once, with
 ``core_stats.validated_inputs``, before any permutation is drawn.
 
-``_permutation_slabs`` is the one place permutations are drawn: power
-replicates and FDR simulations take all of theirs as one block
+``_permutation_slabs`` is the one place permutations are drawn.  It permutes
+the response's unit form (``core_stats._unit_response``), which a permutation
+keeps centred with unit norm, so no block is centred again.  Power replicates
+and FDR simulations take all of theirs as one block
 (``_permuted_responses``), while ``permutation_cutoff`` and gene ranking
 stream them in slabs of ``_slab_width(n)`` columns, a fixed byte budget, so
 their memory is n x slab whatever the permutation count.  Ranking keeps
@@ -51,7 +54,7 @@ from scipy.stats import rankdata
 from ._blas import one_thread
 from ._rng import TAG_GENE, TAG_PERMUTE, TAG_REPLICATE, TAG_TRAIT, derive_seed, substream
 from .boundary import beta_from_r, signal_count
-from .core_stats import _case_control, _centre_in_place, _correlations, _t_from_rho, _two_sided_p, _z_from_rho, validated_inputs
+from .core_stats import _scores, _two_sided_p, _unit_response, _z_from_rho, validated_inputs
 from .detectors import _correlation_matrix, _hc_max_rows, _lct_columns, _whitened_stats, cholesky_lower
 from .errors import (
     BadSampleSizeError,
@@ -162,29 +165,23 @@ class Scenario:
 
 
 def _stats_for_columns(X: np.ndarray, Y: np.ndarray, trait_kind: str,
-                       needs: frozenset[str], ynorm: np.ndarray | None = None) -> dict[str, np.ndarray]:
+                       needs: frozenset[str]) -> dict[str, np.ndarray]:
     """Set-level statistics for every response column in Y.
 
-    X is the (n, L) panel shared by all columns; Y is (n, m).  Returns, per
-    requested method, the m exceedance-oriented statistics.  With ``ynorm``
-    given, Y is already centred and ynorm holds its column norms (see
-    ``core_stats._centre_in_place``).
+    X is the (n, L) panel shared by all columns; Y is (n, m) unit responses
+    (``core_stats._unit_response``).  Returns, per requested method, the m
+    exceedance-oriented statistics.
     """
-    n = X.shape[0]
     out: dict[str, np.ndarray] = {}
-    if trait_kind == "quantitative":
-        rho = _correlations(X, Y, ynorm)
-        scores = _t_from_rho(rho, n)  # (L, m)
-        if "HCm" in needs:
-            out["HCm"] = _hc_max_rows(_two_sided_p(_z_from_rho(rho, n).T))
-    else:
-        scores = _case_control(X, Y)
+    Z, rho, scores = _scores(X, Y, trait_kind)  # scores (L, m)
+    if "HCm" in needs:
+        out["HCm"] = _hc_max_rows(_two_sided_p(_z_from_rho(rho, X.shape[0]).T))
     if "HC" in needs:
         out["HC"] = _hc_max_rows(_two_sided_p(scores.T))
     if "MinP" in needs:
         out["MinP"] = np.abs(scores).max(axis=0)
     if needs & {"LCT", "QT", "DT"}:
-        sigma_hat = _correlation_matrix(X)
+        sigma_hat = _correlation_matrix(Z)
         if "LCT" in needs:
             out["LCT"] = np.abs(_lct_columns(scores, sigma_hat))
         if needs & {"QT", "DT"}:
@@ -202,22 +199,23 @@ def _slab_width(n: int) -> int:
 
 
 def _permutation_slabs(y: np.ndarray, n_perms: int, seed: int, width: int):
-    """y and n_perms permutations of it from the permutation stream of
-    ``seed``, as (n, <= width) blocks in draw order: y is column 0 of the
-    first block.  Blocks are drawn lazily, one at a time."""
-    n = y.size
+    """y's unit response u and n_perms permutations of it from the
+    permutation stream of ``seed``, as (n, <= width) blocks in draw order: u
+    is column 0 of the first block.  Blocks are drawn lazily, one at a time."""
+    u = _unit_response(y)
+    n = u.size
     perm_rng = substream(seed, TAG_PERMUTE)
     total = 1 + n_perms
     for start in range(0, total, width):
         Y = np.empty((n, min(width, total - start)))
         for j in range(Y.shape[1]):
-            Y[:, j] = y if start + j == 0 else y[perm_rng.permutation(n)]
+            Y[:, j] = u if start + j == 0 else u[perm_rng.permutation(n)]
         yield Y
 
 
 def _permuted_responses(y: np.ndarray, n_perms: int, seed: int) -> np.ndarray:
-    """(n, 1 + n_perms) matrix: y, then n_perms permutations of it drawn from
-    the permutation stream of ``seed``; the single-slab draw."""
+    """(n, 1 + n_perms) matrix: y's unit response, then n_perms permutations
+    of it from the permutation stream of ``seed``; the single-slab draw."""
     return next(_permutation_slabs(y, n_perms, seed, 1 + n_perms))
 
 
@@ -419,9 +417,8 @@ def _fdr_chunk(scenario: Scenario, needs: tuple[str, ...], seed: int,
                 genetic += Xg.entries @ cfg.beta
         y = genetic + scenario.trait.sigma * substream(rep_seed, TAG_TRAIT).standard_normal(n)
         Y = _permuted_responses(y, 1, rep_seed)
-        ynorm = _centre_in_place(Y)
         for g in range(n_genes):
-            stats = _stats_for_columns(panels[g], Y, "quantitative", fs, ynorm)
+            stats = _stats_for_columns(panels[g], Y, "quantitative", fs)
             for name in needs:
                 out[name][i - lo, g] = stats[name]
     return out
@@ -517,9 +514,10 @@ def _gene_chunk(X: np.ndarray, y: np.ndarray, n_perms: int, seed: int, gene_slic
     t >= t0 - _TIE_RTOL * max(1, |t0|).  On case/control panels many
     permutations tie the observed statistic in exact arithmetic, and
     last-bit rounding must not decide those ties.  Measured on generated
-    case/control panels (n = 40 to 2000, genes of 3 to 40 SNPs, about 1% of
-    cells imputed), tied statistics differed by at most 5.5e-14 relative,
-    and distinct ones by at least 7.7e-10: the tolerance 1e-11 sits two
+    case/control panels (n = 40, 200 and 2000, genes of 3, 10 and 40 SNPs at
+    q = 0.2, about 1% of cells imputed, 1000 permutations each), statistics
+    within the tolerance of a neighbour spread by at most 1.3e-13 relative,
+    and the others lay at least 9.9e-9 apart: the tolerance 1e-11 sits two
     orders of magnitude from each.
     """
     fs = frozenset(needs)
@@ -527,9 +525,8 @@ def _gene_chunk(X: np.ndarray, y: np.ndarray, n_perms: int, seed: int, gene_slic
     observed = {name: np.empty(hi - lo) for name in needs}
     exceed = {name: np.zeros(hi - lo, dtype=np.int64) for name in needs}
     for slab, Y in enumerate(_permutation_slabs(y, n_perms, seed, _slab_width(y.size))):
-        ynorm = _centre_in_place(Y) if trait_kind == "quantitative" else None
         for g, Xg in enumerate(panels):
-            stats = _stats_for_columns(Xg, Y, trait_kind, fs, ynorm)
+            stats = _stats_for_columns(Xg, Y, trait_kind, fs)
             for name in needs:
                 col = stats[name]
                 if slab == 0:

@@ -14,7 +14,7 @@ starts to work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Literal, Sequence
 
 import numpy as np
@@ -217,15 +217,9 @@ def boundary_curve(alphas: Sequence[float], mode: CurveMode,
     q = _select(scenario.q, None)
     if isinstance(q, np.ndarray):
         raise DimensionMismatchError("boundary_curve needs a scalar allele frequency")
-    r_vals = np.empty_like(grid)
-    beta_vals = np.empty_like(grid)
-    h_vals = np.empty_like(grid)
-    for i, a in enumerate(grid):
-        r_edge = edge_fn(float(a))
-        tau = np.sqrt(2.0 * r_edge * np.log(scenario.L))
-        beta = scenario.sigma * tau / np.sqrt(2.0 * scenario.n * q * (1.0 - q))
-        k = signal_count(scenario.L, float(a))
-        r_vals[i] = r_edge
-        beta_vals[i] = beta
-        h_vals[i] = heritability(np.full(k, beta), q, scenario.sigma)
+    r_vals = np.array([edge_fn(float(a)) for a in grid])
+    # a=None: n is already fixed, and replace() would otherwise pass both
+    beta_vals = beta_from_r(replace(scenario, r=r_vals, a=None))
+    h_vals = np.array([heritability(np.full(signal_count(scenario.L, float(a)), b), q, scenario.sigma)
+                       for a, b in zip(grid, beta_vals)])
     return BoundaryCurve(mode=mode, alpha=grid, r=r_vals, beta=beta_vals, heritability=h_vals)

@@ -161,8 +161,8 @@ def _parse_scheme(s: str) -> CoefficientScheme:
     raise ConfigError(f"unknown coefficient scheme {s!r}")
 
 
-# key -> (parser, default-as-string or None for required-if-used)
-# every key any subcommand understands must be listed here
+# key -> parser; each call site passes its own default, as a string, to
+# Config.get.  Every key any subcommand understands must be listed here
 _KNOWN_KEYS: dict[str, Callable[[str], object]] = {
     "scenario.L": _parse_int,
     "scenario.n": _parse_int,

@@ -14,10 +14,13 @@ genotype panel to one score per column.  Four scores are provided:
 
 Scores are mapped to p-values by the two-sided standard normal tail.
 
-Each score has one implementation, a private kernel batched over the columns
-of an (n, m) response matrix; the permutation benchmarks call it with every
-permuted response at once, the public functions here with m = 1.  Inputs are
-checked once, at entry, by ``validated_inputs``.
+Every score is read off one cross-product: ``_standardised`` centres the
+panel's columns and scales them to unit norm (Z), ``_unit_response`` does the
+same to the response (u), and rho = Z' u.  The private kernel ``_scores`` is
+batched over the columns of an (n, m) matrix of unit responses; the
+permutation benchmarks call it with every permuted response at once, the
+public functions here with m = 1.  Inputs are checked once, at entry, by
+``validated_inputs``.
 """
 
 from __future__ import annotations
@@ -163,7 +166,10 @@ def validated_inputs(X, y, kind: TraitKind | None = None,
         raise DimensionMismatchError(f"response length {v.size} != sample count {Xa.shape[0]}")
     if varying:
         if y.kind == "binary":
-            _group_sizes(v)
+            n_case = int(v.sum())
+            if n_case in (0, v.size):
+                raise EmptyGroupError(
+                    f"need both groups non-empty, got {n_case} cases / {v.size - n_case} controls")
         elif v.max() == v.min():
             raise ConstantColumnError(-1, "response is constant")
     return Xa, v, y.kind
@@ -176,55 +182,65 @@ def require_varying_columns(X: np.ndarray):
         raise ConstantColumnError(int(np.flatnonzero(constant)[0]))
 
 
-def _group_sizes(labels: np.ndarray) -> tuple[float, float]:
-    """(cases, controls) of a 0/1 label vector; both must be non-empty."""
-    n_case = float(labels.sum())
-    n_control = labels.size - n_case
-    if n_case == 0 or n_control == 0:
-        raise EmptyGroupError(f"need both groups non-empty, got {n_case:g} cases / {n_control:g} controls")
-    return n_case, n_control
-
-
 # ---------------------------------------------------------------------------
-# batched kernel: an (n, L) panel against (n, m) responses gives (L, m) scores.
-# Inputs are trusted; the public functions below validate them, then call it.
+# batched kernel: an (n, L) panel against (n, m) unit responses gives (L, m)
+# scores.  Inputs are trusted; the public functions below validate them.
 
 
 def _column_norms(A: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->j", A, A))
 
 
-def _centred_cross(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Centred-column cross-products Xc' Y and the centred column norms."""
+def _standardised(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Z, X's columns centred and scaled to unit norm, and their centred norms.
+
+    Builds one (n, L) array: the centred copy is scaled in place.
+    """
     require_varying_columns(X)
-    Xc = X - X.mean(axis=0)
-    return Xc.T @ Y, _column_norms(Xc)
+    Z = X - X.mean(axis=0)
+    norms = _column_norms(Z)
+    Z /= norms
+    return Z, norms
 
 
-def _centre_in_place(Y: np.ndarray) -> np.ndarray:
-    """Centre the columns of Y, overwriting it; returns their norms.
+def _unit_response(y: np.ndarray) -> np.ndarray:
+    """(y - mean) / ||y - mean||: the response as every score reads it.
 
-    For a response block that many panels share: ``_correlations(X, Y,
-    ynorm)`` then skips the centring, with the same arithmetic.  Only for a
-    block the caller built itself, never for a caller's array.
+    Constancy is tested exactly, by max == min: the norm alone would miss a
+    constant y whose mean rounds (0.1 repeated leaves norms near 1e-16).
     """
-    Y -= Y.mean(axis=0)
-    return _column_norms(Y)
+    if y.max() == y.min():
+        raise ConstantColumnError(-1, "response is constant")
+    u = y - y.mean()
+    u /= np.sqrt(u @ u)
+    return u
 
 
-def _correlations(X: np.ndarray, Y: np.ndarray, ynorm: np.ndarray | None = None) -> np.ndarray:
-    """Sample correlations, clipped into [-1, 1].
-
-    With ``ynorm`` given, Y is already centred and ynorm holds its column
-    norms (see ``_centre_in_place``); otherwise Y is centred into a copy.
-    """
-    if ynorm is None:
-        Y = Y - Y.mean(axis=0)
-        ynorm = _column_norms(Y)
-    cross, xnorm = _centred_cross(X, Y)
-    rho = cross / (xnorm[:, None] * ynorm[None, :])
+def _correlations(Z: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Sample correlations Z' U of a standardised panel and unit responses,
+    clipped into [-1, 1]."""
+    rho = Z.T @ U
     np.clip(rho, -1.0, 1.0, out=rho)
     return rho
+
+
+def _scores(X: np.ndarray, U: np.ndarray, trait_kind: TraitKind) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Z, rho and the (L, m) marginal scores of X against unit responses U.
+
+    A quantitative score is t(rho).  With U the standardised 0/1 labels,
+    rho * ||xc|| / (2 sqrt(p (1 - p))) is exactly the case/control frequency
+    contrast of ``case_control_zscores``, whatever the group sizes.
+    """
+    if trait_kind == "binary":
+        p = X.mean(axis=0) / 2.0
+        mono = (p == 0.0) | (p == 1.0)
+        if np.any(mono):
+            raise MonomorphicColumnError(int(np.flatnonzero(mono)[0]))
+    Z, norms = _standardised(X)
+    rho = _correlations(Z, U)
+    if trait_kind == "quantitative":
+        return Z, rho, _t_from_rho(rho, X.shape[0])
+    return Z, rho, rho * (0.5 * norms / np.sqrt(p * (1.0 - p)))[:, None]
 
 
 def _z_from_rho(rho: np.ndarray, n: int) -> np.ndarray:
@@ -233,23 +249,6 @@ def _z_from_rho(rho: np.ndarray, n: int) -> np.ndarray:
 
 def _t_from_rho(rho: np.ndarray, n: int) -> np.ndarray:
     return np.sqrt(n - 2.0) * rho / np.sqrt(1.0 - rho * rho)
-
-
-def _case_control(X: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Case/control frequency contrasts on the z scale (see case_control_zscores)."""
-    n_case, n_control = _group_sizes(labels[:, 0])
-    totals = X.sum(axis=0)
-    p_all = totals / X.shape[0] / 2.0  # X.mean(axis=0) / 2.0, bit for bit
-    mono = (p_all == 0.0) | (p_all == 1.0)
-    if np.any(mono):
-        raise MonomorphicColumnError(int(np.flatnonzero(mono)[0]))
-    case = X.T @ labels
-    p_case = case / (2.0 * n_case)
-    # control counts as totals minus case counts: no (n, m) `1 - labels`
-    # temporary; exact for integer genotypes, last-bit for imputed cells
-    p_control = (totals[:, None] - case) / (2.0 * n_control)
-    m_eff = 2.0 / (1.0 / n_case + 1.0 / n_control)
-    return np.sqrt(m_eff) * (p_case - p_control) / np.sqrt(2.0 * p_all * (1.0 - p_all))[:, None]
 
 
 def _two_sided_p(s: np.ndarray) -> np.ndarray:
@@ -268,7 +267,7 @@ def normal_sf(x) -> np.ndarray | float:
 def marginal_correlations(X, y) -> np.ndarray:
     """Sample correlation between each column of X and the response."""
     Xa, ya, _ = validated_inputs(X, y)
-    return _correlations(Xa, ya[:, None])[:, 0]
+    return _correlations(_standardised(Xa)[0], _unit_response(ya))
 
 
 def zscores_known_sigma(X, y, sigma: float) -> np.ndarray:
@@ -280,8 +279,7 @@ def zscores_known_sigma(X, y, sigma: float) -> np.ndarray:
     if not np.isfinite(sigma) or sigma <= 0.0:
         raise NonPositiveSigmaError(f"sigma must be positive, got {sigma!r}")
     Xa, ya, _ = validated_inputs(X, y, varying=False)
-    cross, norms = _centred_cross(Xa, ya[:, None])
-    return cross[:, 0] / (sigma * norms)
+    return _standardised(Xa)[0].T @ ya / sigma
 
 
 def zscores_from_correlation(rho, n: int) -> np.ndarray:
@@ -319,7 +317,7 @@ def case_control_zscores(X, y) -> np.ndarray:
         sqrt(m) * (p1 - p0) / sqrt(2 p (1 - p)).
     """
     Xa, ya, _ = validated_inputs(X, y, kind="binary")
-    return _case_control(Xa, ya[:, None])[:, 0]
+    return _scores(Xa, _unit_response(ya)[:, None], "binary")[2][:, 0]
 
 
 def pvalues_two_sided(stats) -> np.ndarray:

@@ -28,7 +28,7 @@ from scipy.linalg.lapack import dpotrf
 from scipy.special import erfc
 
 from .boundary import detection_boundary
-from .core_stats import _two_sided_p, as_genotype_matrix, require_varying_columns
+from .core_stats import _standardised, _two_sided_p, as_genotype_matrix
 from .errors import (
     AlphaOutOfRangeError,
     BadRangeError,
@@ -226,9 +226,10 @@ class EmpiricalCorrelation:
         return self.matrix.shape[0]
 
 
-def _correlation_matrix(X: np.ndarray) -> np.ndarray:
-    """Column correlations clipped into [-1, 1], with an exact unit diagonal."""
-    m = np.atleast_2d(np.corrcoef(X, rowvar=False))
+def _correlation_matrix(Z: np.ndarray) -> np.ndarray:
+    """Column correlations Z' Z of a standardised panel (``core_stats._standardised``),
+    clipped into [-1, 1], with an exact unit diagonal."""
+    m = Z.T @ Z
     np.clip(m, -1.0, 1.0, out=m)
     np.fill_diagonal(m, 1.0)
     return m
@@ -236,9 +237,8 @@ def _correlation_matrix(X: np.ndarray) -> np.ndarray:
 
 def empirical_correlation(X) -> EmpiricalCorrelation:
     """Pearson correlations among the columns of a panel."""
-    Xa = as_genotype_matrix(X).entries
-    require_varying_columns(Xa)
-    return EmpiricalCorrelation(matrix=_correlation_matrix(Xa))
+    Z, _ = _standardised(as_genotype_matrix(X).entries)
+    return EmpiricalCorrelation(matrix=_correlation_matrix(Z))
 
 
 def _as_square(sigma_hat) -> np.ndarray:

@@ -11,6 +11,11 @@ from __future__ import annotations
 class RareweakError(Exception):
     """Base class for all package errors."""
 
+    def __reduce__(self):
+        # unpickled without __init__, whose first parameter is not always the
+        # message, so an error raised in a pool worker reads the same here
+        return type(self).__new__, (type(self), *self.args), self.__dict__
+
 
 # ---------------------------------------------------------------------------
 # input / data problems

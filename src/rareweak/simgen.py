@@ -34,7 +34,6 @@ from typing import Sequence
 
 import numpy as np
 from scipy.linalg import toeplitz as _toeplitz
-from scipy.linalg.lapack import dpotrf
 from scipy.special import expit, ndtr, ndtri, owens_t
 
 from ._rng import (
@@ -48,6 +47,7 @@ from ._rng import (
     substream,
 )
 from .core_stats import GenotypeMatrix, Phenotype
+from .detectors import cholesky_lower
 from .errors import (
     BadKError,
     BadSampleSizeError,
@@ -141,13 +141,6 @@ class LdSpec:
         return (self.kind, self.bands, self.scale, self.decay)
 
 
-def _chol_or_minor(m: np.ndarray) -> tuple[np.ndarray | None, int]:
-    c, info = dpotrf(m, lower=1, overwrite_a=0)
-    if info != 0:
-        return None, int(info)
-    return np.tril(c), 0
-
-
 def build_ld(spec: LdSpec, L: int) -> np.ndarray:
     """Materialise a design as an L x L correlation matrix, checked PD."""
     if L < 1:
@@ -176,9 +169,11 @@ def build_ld(spec: LdSpec, L: int) -> np.ndarray:
             raise NonFiniteInputError("explicit design must have unit diagonal")
     else:
         raise DimensionMismatchError(f"unknown design kind {spec.kind!r}")
-    _, info = _chol_or_minor(m)
-    if info:
-        raise NotPositiveDefiniteError(info, f"design {spec.name} (L={L}) fails at leading minor {info}")
+    try:
+        cholesky_lower(m)
+    except NotPositiveDefiniteError as e:
+        info = e.minor_index
+        raise NotPositiveDefiniteError(info, f"design {spec.name} (L={L}) fails at leading minor {info}") from None
     return m
 
 
@@ -296,8 +291,10 @@ def _latent_chol(spec: LdSpec, L: int, q: np.ndarray) -> np.ndarray:
                                   return_index=True, return_inverse=True)
     latent = np.eye(L)
     latent[jj, kk] = latent[kk, jj] = solve_latent_correlation(*triples[first].T)[inverse]
-    chol, info = _chol_or_minor(latent)
-    if info:
+    try:
+        chol = cholesky_lower(latent)
+    except NotPositiveDefiniteError as e:
+        info = e.minor_index
         raise LatentNotPDError(info, (
             f"design {spec.name} at L={L}, q in [{q.min():g}, {q.max():g}]: every pairwise "
             f"target is attainable, but the latent correlation matrix is not positive "

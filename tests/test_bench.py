@@ -40,7 +40,7 @@ from rareweak import (
 )
 from rareweak import _blas, bench
 from rareweak.bench import _pooled_cutoff, _stats_for_columns, csv_text, gene_set_statistics
-from rareweak.core_stats import validated_inputs
+from rareweak.core_stats import _unit_response, validated_inputs
 
 
 def quick_scenario(r=0.9, L=30, n=200, scheme=None, ld=None):
@@ -75,7 +75,8 @@ def test_permutation_cutoff_degenerate_null():
     y = np.array([1.0, 1.0, 1.0, 5.0])
     from rareweak.bench import _stats_for_columns
 
-    observed = _stats_for_columns(X, y[:, None], "quantitative", frozenset({"HC"}))["HC"][0]
+    observed = _stats_for_columns(X, _unit_response(y)[:, None], "quantitative",
+                                  frozenset({"HC"}))["HC"][0]
     cut = permutation_cutoff("HC", X, y, n_perms=40, level=0.5, seed=1)
     assert cut == pytest.approx(observed, rel=1e-12)
 
@@ -104,7 +105,7 @@ def test_permutation_cutoff_calibrates_fresh_permutations():
     fresh = np.empty((250, 2000))
     frng = np.random.default_rng(999)
     for i in range(2000):
-        fresh[:, i] = y[frng.permutation(250)]
+        fresh[:, i] = _unit_response(y[frng.permutation(250)])
     stats = _stats_for_columns(X, fresh, "quantitative", frozenset({"HC"}))["HC"]
     rate = float(np.mean(stats > cut))
     assert 0.04 <= rate <= 0.06
@@ -125,7 +126,8 @@ def test_kernel_columns_match_public_scalar_functions(trait_kind):
         Y = np.column_stack([rng.permutation(labels) for _ in range(m)])
     needs = frozenset(name for name in METHOD_NAMES
                       if MethodId(name).applicable_to(trait_kind))
-    kernel = _stats_for_columns(X, Y, trait_kind, needs)
+    kernel = _stats_for_columns(X, np.column_stack([_unit_response(c) for c in Y.T]),
+                                trait_kind, needs)
     sigma = empirical_correlation(X)
 
     def hc(scores):
@@ -207,10 +209,13 @@ def test_one_group_labels_raise_empty_group_error(no_permutations):
                                n_perms=400, level=0.05, seed=1)
 
 
-def test_kernel_one_group_labels_raise_empty_group_error():
+def test_kernel_one_group_labels_fail_the_constant_response_check():
+    # the kernel reads unit responses, and one-group labels have none
     X, _ = rank_panel()
-    with pytest.raises(EmptyGroupError):
-        _stats_for_columns(X, np.ones((X.shape[0], 3)), "binary", frozenset({"HC"}))
+    for labels in (np.ones(X.shape[0]), np.zeros(X.shape[0])):
+        with pytest.raises(ConstantColumnError) as err:
+            _unit_response(labels)
+        assert err.value.index == -1
 
 
 # --- method bookkeeping -------------------------------------------------------
@@ -245,6 +250,18 @@ def test_power_requires_minimum_scale():
     with pytest.raises(TooFewPermutationsError):
         empirical_power(["HC"], quick_scenario(), n_sims=100, level=0.05,
                         seed=1, perms_per_sim=1)   # pooled 100 < 20/0.05
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_power_of_a_constant_simulated_response_is_refused(workers):
+    # sigma = 0 with no signal: every simulated response is constant
+    sc = Scenario(L=10, q=0.4, ld=LdSpec.identity(), trait=TraitModel.additive(0.0),
+                  n_signals=2, base_beta=0.0, scheme=CoefficientScheme.fixed(), n=50)
+    for methods in (["HC", "MinP", "QT"], ["HC", "MinP"]):
+        with pytest.raises(ConstantColumnError) as err:
+            empirical_power(methods, sc, n_sims=100, level=0.05, seed=1, perms_per_sim=4,
+                            workers=workers)
+        assert err.value.index == -1 and str(err.value) == "response is constant"
 
 
 def test_power_null_scenario_matches_level():
@@ -486,9 +503,9 @@ def test_no_kernel_call_sees_more_than_one_slab(monkeypatch):
     seen = []
     real = bench._stats_for_columns
 
-    def recorder(X, Y, trait_kind, needs, ynorm=None):
+    def recorder(X, Y, trait_kind, needs):
         seen.append(Y.shape[1])
-        return real(X, Y, trait_kind, needs, ynorm)
+        return real(X, Y, trait_kind, needs)
 
     monkeypatch.setattr(bench, "_stats_for_columns", recorder)
     genes = [("a", [0, 1, 2, 3]), ("b", [4, 5, 6, 7])]

@@ -470,6 +470,26 @@ def test_exit_codes(tmp_path, capsys):
     assert payloads[0]["error"] == "NonFiniteInputError" and payloads[0]["exit_code"] == 4
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("methods", ["HC,MinP,QT", "HC,MinP"])
+def test_constant_simulated_response_exits_4_with_one_json_line(tmp_path, capsys, methods, workers):
+    cfg = write(tmp_path / "c.cfg", "scenario.L = 10\nscenario.n = 50\nscenario.q = 0.4\n"
+                "scenario.k = 2\nscenario.beta = 0\nscenario.sigma = 0\n"
+                f"analysis.methods = {methods}\nexecution.n_sims = 100\n"
+                "execution.perms_per_sim = 4\n")
+    out = tmp_path / "out"
+    assert main(["power", "--config", cfg, "--out", str(out), "--workers", workers]) == 4
+    payloads = []
+    for line in capsys.readouterr().err.splitlines():
+        try:
+            payloads.append(json.loads(line))
+        except ValueError:
+            pass
+    assert payloads == [{"error": "ConstantColumnError", "message": "response is constant",
+                         "exit_code": 4}]
+    assert not (out / "power.csv").exists()
+
+
 def test_unwritable_output_directory_exits_2(tmp_path, capsys):
     cfg = write(tmp_path / "b.cfg", "scenario.L = 100\nscenario.q = 0.4\nscenario.n = 1000\n")
     blocker = write(tmp_path / "taken", "not a directory\n")

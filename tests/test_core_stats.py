@@ -158,11 +158,41 @@ def test_case_control_unbalanced_uses_harmonic_size():
     assert d2 == pytest.approx(want2, rel=1e-12)
 
 
+def test_case_control_scores_match_the_frequency_contrast_on_an_imputed_unbalanced_panel():
+    # the kernel reads the contrast off the correlation with the unit labels;
+    # check it against the frequency formula written out
+    rng = np.random.default_rng(41)
+    X = rng.binomial(2, 0.3, size=(300, 20)).astype(np.float64)
+    missing = rng.random(X.shape) < 0.02
+    for j in range(X.shape[1]):
+        X[missing[:, j], j] = X[~missing[:, j], j].mean()
+    y = np.zeros(300)
+    y[rng.permutation(300)[:70]] = 1.0
+    n1, n0 = 70.0, 230.0
+    p1 = X[y == 1.0].sum(axis=0) / (2.0 * n1)
+    p0 = X[y == 0.0].sum(axis=0) / (2.0 * n0)
+    p = X.mean(axis=0) / 2.0
+    m = 2.0 / (1.0 / n1 + 1.0 / n0)
+    want = np.sqrt(m) * (p1 - p0) / np.sqrt(2.0 * p * (1.0 - p))
+    assert np.min(np.abs(want)) > 1e-3   # no cancelled contrast to hide behind
+    np.testing.assert_allclose(case_control_zscores(X, y), want, rtol=1e-12, atol=0.0)
+
+
 def test_case_control_monomorphic_column_rejected():
     X = np.zeros((10, 1))
     y = np.array([1.0] * 5 + [0.0] * 5)
     with pytest.raises(MonomorphicColumnError):
         case_control_zscores(X, y)
+
+
+def test_case_control_constant_column_rejected():
+    # every sample heterozygous: polymorphic in the pool, but constant, so
+    # refused as in the quantitative scores
+    X = np.column_stack([np.tile([0.0, 1.0, 2.0, 1.0], 3), np.ones(12)])
+    y = np.array([1.0, 0.0] * 6)
+    with pytest.raises(ConstantColumnError) as err:
+        case_control_zscores(X, y)
+    assert err.value.index == 1
 
 
 def test_case_control_empty_group_rejected():

@@ -238,6 +238,14 @@ def test_empirical_correlation_structure():
     assert m[1, 4] == pytest.approx(-1.0, abs=1e-12)
 
 
+def test_empirical_correlation_matches_corrcoef():
+    rng = np.random.default_rng(10)
+    X = rng.binomial(2, 0.3, size=(1000, 40)).astype(float)
+    X[:, 1] = np.clip(X[:, 0] + rng.binomial(1, 0.3, size=1000), 0.0, 2.0)  # correlated pair
+    np.testing.assert_allclose(empirical_correlation(X).matrix, np.corrcoef(X, rowvar=False),
+                               rtol=0.0, atol=1e-14)
+
+
 def test_empirical_correlation_independent_columns_near_zero():
     rng = np.random.default_rng(9)
     X = rng.binomial(2, 0.4, size=(10_000, 12)).astype(float)
