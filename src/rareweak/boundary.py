@@ -14,7 +14,7 @@ starts to work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 from typing import Iterator, Literal, Sequence
 
 import numpy as np
@@ -74,8 +74,9 @@ class ArwScenario:
     """Calibrated scenario: panel width, sample size, rarity, strength.
 
     Exactly one of ``n`` (explicit sample size) or ``a`` (growth exponent,
-    n = round(L^a)) must be given.  ``r`` and ``q`` may be scalars or
-    per-signal / per-column arrays.
+    n = round(L^a)) must be given.  ``a`` only sets ``n`` at construction and
+    is not kept, so ``dataclasses.replace`` keeps the sample size.  ``r`` and
+    ``q`` may be scalars or per-signal / per-column arrays.
     """
 
     L: int
@@ -84,16 +85,16 @@ class ArwScenario:
     sigma: float = 1.0
     q: float | np.ndarray = 0.5
     n: int | None = None
-    a: float | None = None
+    a: InitVar[float | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, a: float | None):
         if self.L < 2:
             raise BadSampleSizeError(f"need L >= 2, got {self.L}")
         _check_alpha(self.alpha)
-        if (self.n is None) == (self.a is None):
+        if (self.n is None) == (a is None):
             raise DimensionMismatchError("give exactly one of n or a")
         if self.n is None:
-            object.__setattr__(self, "n", max(2, int(np.floor(self.L ** float(self.a) + 0.5))))
+            object.__setattr__(self, "n", max(2, int(np.floor(self.L ** float(a) + 0.5))))
         if self.n < 2:
             raise BadSampleSizeError(f"need n >= 2, got {self.n}")
         r = np.asarray(self.r, dtype=np.float64)
@@ -218,8 +219,7 @@ def boundary_curve(alphas: Sequence[float], mode: CurveMode,
     if isinstance(q, np.ndarray):
         raise DimensionMismatchError("boundary_curve needs a scalar allele frequency")
     r_vals = np.array([edge_fn(float(a)) for a in grid])
-    # a=None: n is already fixed, and replace() would otherwise pass both
-    beta_vals = beta_from_r(replace(scenario, r=r_vals, a=None))
+    beta_vals = beta_from_r(replace(scenario, r=r_vals))
     h_vals = np.array([heritability(np.full(signal_count(scenario.L, float(a)), b), q, scenario.sigma)
                        for a, b in zip(grid, beta_vals)])
     return BoundaryCurve(mode=mode, alpha=grid, r=r_vals, beta=beta_vals, heritability=h_vals)

@@ -31,9 +31,11 @@ import logging
 import os
 import platform
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 import scipy
@@ -44,6 +46,7 @@ from ._blas import managed as blas_managed, one_thread
 from ._rng import RNG_ALGORITHM, RNG_STREAMS
 from .bench import (
     METHOD_NAMES,
+    MethodId,
     Scenario,
     csv_text,
     empirical_power,
@@ -232,8 +235,12 @@ def load_config(path: str) -> Config:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text ({e.reason})") from None
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -293,17 +300,39 @@ class LoadedGenotypes:
     report: IngestReport
 
 
-def _hwe_pvalue(column: np.ndarray) -> float:
-    """One-degree chi-square test of {0,1,2} counts against binomial(2, q-hat)."""
-    obs = np.array([np.sum(column == 0.0), np.sum(column == 1.0), np.sum(column == 2.0)],
-                   dtype=np.float64)
-    n = obs.sum()
+def _hwe_pvalues(counts: np.ndarray) -> np.ndarray:
+    """1-df chi-square HWE tests of {0,1,2} count columns, each with two genotypes or more."""
+    obs = counts.astype(np.float64)
+    n = obs.sum(axis=0)
     q = (obs[1] + 2.0 * obs[2]) / (2.0 * n)
-    if q == 0.0 or q == 1.0:
-        return 1.0
     exp = n * np.array([(1.0 - q) ** 2, 2.0 * q * (1.0 - q), q * q])
-    stat = float(np.sum((obs - exp) ** 2 / exp))
-    return float(_chi2.sf(stat, df=1))
+    return _chi2.sf(np.sum((obs - exp) ** 2 / exp, axis=0), df=1)
+
+
+@contextmanager
+def _csv_records(path: str, what: str) -> Iterator[tuple[list[str], Iterator]]:
+    """Yield a UTF-8 CSV's header and its (line number, cells) records; a missing (``what``
+    not found), empty, undecodable or unparseable file raises ``MalformedCsvError``."""
+    p = Path(path)
+    if not p.is_file():
+        raise MalformedCsvError(str(path), 0, f"{what} not found: {path}")
+    try:
+        with p.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise MalformedCsvError(str(path), 1, f"{path}: empty file")
+            yield header, enumerate(reader, start=2)
+    except UnicodeDecodeError as e:
+        raise MalformedCsvError(str(path), 0, f"{path}: not UTF-8 text ({e.reason})") from None
+    except csv.Error as e:
+        line = reader.line_num
+        raise MalformedCsvError(str(path), line, f"{path}:{line}: {e}") from None
+
+
+# cell text -> allele count; a cell not in it reads as _NO_CELL until stripped
+_CELLS = {"0": 0.0, "1": 1.0, "2": 2.0, MISSING_TOKEN: np.nan}
+_NO_CELL = -1.0
 
 
 def load_genotype_csv(path: str, max_missing: float = 0.1,
@@ -318,15 +347,7 @@ def load_genotype_csv(path: str, max_missing: float = 0.1,
     the column mean of observed entries.  Nothing is altered silently: the
     returned report lists every drop and imputation count.
     """
-    p = Path(path)
-    if not p.is_file():
-        raise MalformedCsvError(str(path), 0, f"genotype file not found: {path}")
-    with p.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedCsvError(str(path), 1, f"{path}: empty file") from None
+    with _csv_records(path, "genotype file") as (header, records):
         ids = [h.strip() for h in header]
         if any(not h for h in ids):
             raise MalformedCsvError(str(path), 1, f"{path}:1: blank SNP id in header")
@@ -334,80 +355,72 @@ def load_genotype_csv(path: str, max_missing: float = 0.1,
             raise MalformedCsvError(str(path), 1, f"{path}:1: duplicate SNP ids in header")
         width = len(ids)
         rows: list[np.ndarray] = []
-        for lineno, rec in enumerate(reader, start=2):
+        for lineno, rec in records:
             if len(rec) != width:
                 raise MalformedCsvError(str(path), lineno,
                                         f"{path}:{lineno}: expected {width} cells, got {len(rec)}")
-            vals = np.empty(width)
-            for j, cell in enumerate(rec):
-                c = cell.strip()
-                if c == MISSING_TOKEN:
-                    vals[j] = np.nan
-                elif c in ("0", "1", "2"):
-                    vals[j] = float(c)
-                else:
+            vals = np.fromiter(map(_CELLS.get, rec, repeat(_NO_CELL)), np.float64, width)
+            for j in np.flatnonzero(vals == _NO_CELL):
+                c = rec[j].strip()
+                if c not in _CELLS:
                     raise MalformedCsvError(str(path), lineno,
                                             f"{path}:{lineno}: cell {c!r} is not 0/1/2 or NA")
+                vals[j] = _CELLS[c]
             rows.append(vals)
-    if len(rows) < 2:
-        raise MalformedCsvError(str(path), len(rows) + 1,
-                                f"{path}: need at least 2 sample rows, got {len(rows)}")
+    n = len(rows)
+    if n < 2:
+        raise MalformedCsvError(str(path), n + 1, f"{path}: need at least 2 sample rows, got {n}")
     data = np.vstack(rows)
-    n = data.shape[0]
+    del rows  # so that the block and its kept columns are the peak, not the rows too
 
-    dropped: list[tuple[str, str]] = []
-    imputed: list[tuple[str, int]] = []
-    keep_cols: list[int] = []
-    for j, snp in enumerate(ids):
-        col = data[:, j]
-        missing = np.isnan(col)
-        n_missing = int(missing.sum())
-        if n_missing / n > max_missing:
-            dropped.append((snp, f"missing rate {n_missing}/{n} above {max_missing:g}"))
-            continue
-        observed = col[~missing]
-        if observed.size == 0 or observed.max() == observed.min():
+    missing = np.isnan(data)
+    n_missing = missing.sum(axis=0)
+    counts = np.stack([np.count_nonzero(data == g, axis=0) for g in (0.0, 1.0, 2.0)])
+    # exact on integer cells: the sum and the count are whole numbers
+    mean = (counts[1] + 2 * counts[2]) / np.maximum(n - n_missing, 1)
+    too_missing = n_missing / n > max_missing
+    constant = ~too_missing & (np.count_nonzero(counts, axis=0) <= 1)
+    drop = too_missing | constant
+    pv = np.ones(width)
+    if hwe_min_pvalue is not None:
+        pv[~drop] = _hwe_pvalues(counts[:, ~drop])
+        drop |= pv < hwe_min_pvalue
+    maf = np.minimum(mean / 2.0, 1.0 - mean / 2.0)
+    if maf_min is not None:
+        drop |= maf < maf_min
+
+    dropped, imputed = [], []
+    for j in np.flatnonzero(drop | (n_missing > 0)):
+        snp = ids[j]
+        if too_missing[j]:
+            dropped.append((snp, f"missing rate {n_missing[j]}/{n} above {max_missing:g}"))
+        elif constant[j]:
             dropped.append((snp, "constant"))
-            continue
-        if hwe_min_pvalue is not None:
-            pv = _hwe_pvalue(observed)
-            if pv < hwe_min_pvalue:
-                dropped.append((snp, f"HWE p-value {pv:.3g} below {hwe_min_pvalue:g}"))
-                continue
-        if maf_min is not None:
-            q = observed.mean() / 2.0
-            if min(q, 1.0 - q) < maf_min:
-                dropped.append((snp, f"MAF {min(q, 1.0 - q):.3g} below {maf_min:g}"))
-                continue
-        if n_missing:
-            col[missing] = observed.mean()
-            imputed.append((snp, n_missing))
-        keep_cols.append(j)
-    if not keep_cols:
+        elif hwe_min_pvalue is not None and pv[j] < hwe_min_pvalue:
+            dropped.append((snp, f"HWE p-value {pv[j]:.3g} below {hwe_min_pvalue:g}"))
+        elif drop[j]:
+            dropped.append((snp, f"MAF {maf[j]:.3g} below {maf_min:g}"))
+        else:
+            imputed.append((snp, int(n_missing[j])))
+    keep = np.flatnonzero(~drop)
+    if not keep.size:
         raise AllColumnsDroppedError(f"{path}: every column failed quality control")
+    np.copyto(data, mean, where=missing)
 
-    report = IngestReport(n_rows=n, kept=tuple(ids[j] for j in keep_cols),
+    report = IngestReport(n_rows=n, kept=tuple(ids[j] for j in keep),
                           dropped=tuple(dropped), imputed=tuple(imputed), snps=tuple(ids))
     report.log()
-    return LoadedGenotypes(matrix=GenotypeMatrix(entries=data[:, keep_cols]),
+    return LoadedGenotypes(matrix=GenotypeMatrix(entries=data[:, keep]),
                            snp_ids=report.kept, report=report)
 
 
 def load_phenotype_csv(path: str, kind: str) -> Phenotype:
     """Read a one-column CSV (any header) into a phenotype of the given kind."""
-    p = Path(path)
-    if not p.is_file():
-        raise MalformedCsvError(str(path), 0, f"phenotype file not found: {path}")
     values = []
-    with p.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedCsvError(str(path), 1, f"{path}: empty file") from None
+    with _csv_records(path, "phenotype file") as (header, records):
         if len(header) != 1:
             raise MalformedCsvError(str(path), 1, f"{path}:1: expected a single column")
-        for lineno, rec in enumerate(reader, start=2):
+        for lineno, rec in records:
             if len(rec) != 1:
                 raise MalformedCsvError(str(path), lineno, f"{path}:{lineno}: expected one cell")
             try:
@@ -442,9 +455,6 @@ def load_gene_map(path: str, kept_ids: Sequence[str],
     control are skipped with a log line.  A SNP may belong to one gene only,
     and a gene whose SNPs were all dropped is an error.
     """
-    p = Path(path)
-    if not p.is_file():
-        raise MalformedCsvError(str(path), 0, f"gene map not found: {path}")
     col_of = {snp: j for j, snp in enumerate(kept_ids)}
     known = set(all_ids) if all_ids is not None else set(kept_ids)
     order: list[str] = []
@@ -452,15 +462,10 @@ def load_gene_map(path: str, kept_ids: Sequence[str],
     seen_pairs: set[tuple[str, str]] = set()
     owner: dict[str, str] = {}
     skipped: list[tuple[str, str]] = []
-    with p.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedCsvError(str(path), 1, f"{path}: empty file") from None
+    with _csv_records(path, "gene map") as (header, records):
         if [h.strip().lower() for h in header] != ["gene", "snp"]:
             raise MalformedCsvError(str(path), 1, f"{path}:1: header must be gene,snp")
-        for lineno, rec in enumerate(reader, start=2):
+        for lineno, rec in records:
             if len(rec) != 2:
                 raise MalformedCsvError(str(path), lineno, f"{path}:{lineno}: expected 2 cells")
             gene, snp = rec[0].strip(), rec[1].strip()
@@ -623,8 +628,7 @@ def _scenarios_from_cfg(cfg: Config) -> list[Scenario]:
 
 def _methods_from_cfg(cfg: Config, trait_kind: str, default: str | None = None) -> list[str]:
     if default is None:
-        default = ",".join(m for m in METHOD_NAMES
-                           if not (m == "HCm" and trait_kind == "binary"))
+        default = ",".join(m for m in METHOD_NAMES if MethodId(m).applicable_to(trait_kind))
     return cfg.get("analysis.methods", default)
 
 

@@ -132,6 +132,22 @@ def test_scenario_sample_size_from_exponent():
         ArwScenario(L=100, alpha=0.76, r=0.4, sigma=1.0, q=0.4, n=1000, a=1.5)
 
 
+def test_replace_keeps_the_sample_size_and_the_boundary_of_an_exponent_built_scenario():
+    from dataclasses import replace
+
+    from rareweak.bench import csv_text
+
+    by_a = ArwScenario(L=100, alpha=0.6, r=0.5, q=0.4, a=1.5)
+    by_n = ArwScenario(L=100, alpha=0.6, r=0.5, q=0.4, n=1000)
+    assert replace(by_a, r=0.7).n == 1000
+    assert replace(by_a, r=0.7) == replace(by_n, r=0.7)
+    grid = np.linspace(0.51, 0.99, 49)
+    for mode in ("optimal", "minp"):
+        texts = [csv_text(("alpha", "r", "beta", "heritability"),
+                          list(boundary_curve(grid, mode, scn).rows())) for scn in (by_a, by_n)]
+        assert texts[0] == texts[1]
+
+
 def test_classify_regime():
     assert classify_regime(0.76, 0.5).regime == "detectable"
     assert classify_regime(0.76, 0.1).regime == "undetectable"

@@ -162,12 +162,168 @@ def test_load_genotypes_malformed(tmp_path):
         load_genotype_csv(str(tmp_path / "nope.csv"))
 
 
+def test_csv_parser_errors_are_malformed_csv(tmp_path):
+    p = geno_csv(tmp_path, "s1,s2\n0,1\n1," + "1" * 200_000 + "\n")
+    with pytest.raises(MalformedCsvError, match="field larger than field limit") as ei:
+        load_genotype_csv(p)
+    assert ei.value.line == 3
+
+
 def test_load_genotypes_all_dropped(tmp_path):
     from rareweak import AllColumnsDroppedError
 
     p = geno_csv(tmp_path, "s1\n1\n1\n1\n")
     with pytest.raises(AllColumnsDroppedError):
         load_genotype_csv(p)
+
+
+def _reference_load_genotype_csv(path, max_missing=0.1, hwe_min_pvalue=None, maf_min=None):
+    """The per-cell, per-column loader that ``load_genotype_csv`` replaced,
+    kept as the reference the whole-block loader must reproduce."""
+    import csv
+    from pathlib import Path
+
+    from scipy.stats import chi2
+
+    from rareweak import AllColumnsDroppedError, GenotypeMatrix
+    from rareweak.cli import IngestReport, LoadedGenotypes
+
+    def hwe_pvalue(column):
+        obs = np.array([np.sum(column == 0.0), np.sum(column == 1.0), np.sum(column == 2.0)],
+                       dtype=np.float64)
+        n = obs.sum()
+        q = (obs[1] + 2.0 * obs[2]) / (2.0 * n)
+        if q == 0.0 or q == 1.0:
+            return 1.0
+        exp = n * np.array([(1.0 - q) ** 2, 2.0 * q * (1.0 - q), q * q])
+        stat = float(np.sum((obs - exp) ** 2 / exp))
+        return float(chi2.sf(stat, df=1))
+
+    p = Path(path)
+    if not p.is_file():
+        raise MalformedCsvError(str(path), 0, f"genotype file not found: {path}")
+    with p.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise MalformedCsvError(str(path), 1, f"{path}: empty file") from None
+        ids = [h.strip() for h in header]
+        if any(not h for h in ids):
+            raise MalformedCsvError(str(path), 1, f"{path}:1: blank SNP id in header")
+        if len(set(ids)) != len(ids):
+            raise MalformedCsvError(str(path), 1, f"{path}:1: duplicate SNP ids in header")
+        width = len(ids)
+        rows = []
+        for lineno, rec in enumerate(reader, start=2):
+            if len(rec) != width:
+                raise MalformedCsvError(str(path), lineno,
+                                        f"{path}:{lineno}: expected {width} cells, got {len(rec)}")
+            vals = np.empty(width)
+            for j, cell in enumerate(rec):
+                c = cell.strip()
+                if c == "NA":
+                    vals[j] = np.nan
+                elif c in ("0", "1", "2"):
+                    vals[j] = float(c)
+                else:
+                    raise MalformedCsvError(str(path), lineno,
+                                            f"{path}:{lineno}: cell {c!r} is not 0/1/2 or NA")
+            rows.append(vals)
+    if len(rows) < 2:
+        raise MalformedCsvError(str(path), len(rows) + 1,
+                                f"{path}: need at least 2 sample rows, got {len(rows)}")
+    data = np.vstack(rows)
+    n = data.shape[0]
+
+    dropped, imputed, keep_cols = [], [], []
+    for j, snp in enumerate(ids):
+        col = data[:, j]
+        missing = np.isnan(col)
+        n_missing = int(missing.sum())
+        if n_missing / n > max_missing:
+            dropped.append((snp, f"missing rate {n_missing}/{n} above {max_missing:g}"))
+            continue
+        observed = col[~missing]
+        if observed.size == 0 or observed.max() == observed.min():
+            dropped.append((snp, "constant"))
+            continue
+        if hwe_min_pvalue is not None:
+            pv = hwe_pvalue(observed)
+            if pv < hwe_min_pvalue:
+                dropped.append((snp, f"HWE p-value {pv:.3g} below {hwe_min_pvalue:g}"))
+                continue
+        if maf_min is not None:
+            q = observed.mean() / 2.0
+            if min(q, 1.0 - q) < maf_min:
+                dropped.append((snp, f"MAF {min(q, 1.0 - q):.3g} below {maf_min:g}"))
+                continue
+        if n_missing:
+            col[missing] = observed.mean()
+            imputed.append((snp, n_missing))
+        keep_cols.append(j)
+    if not keep_cols:
+        raise AllColumnsDroppedError(f"{path}: every column failed quality control")
+    report = IngestReport(n_rows=n, kept=tuple(ids[j] for j in keep_cols),
+                          dropped=tuple(dropped), imputed=tuple(imputed), snps=tuple(ids))
+    return LoadedGenotypes(matrix=GenotypeMatrix(entries=data[:, keep_cols]),
+                           snp_ids=report.kept, report=report)
+
+
+def _panel_cells():
+    """Header plus 60 rows of cells: NAs scattered over most columns, one
+    constant column, one column that is entirely NA, and frequencies from
+    rare to common so that the HWE and MAF filters both drop some columns."""
+    rng = np.random.default_rng(2024)
+    q = np.array([0.03, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.45, 0.25])
+    geno = rng.binomial(2, q, size=(60, q.size))
+    geno[:30, 7], geno[30:, 7] = 0, 2           # no heterozygotes: fails HWE
+    cells = geno.astype(str).astype(object)
+    cells[rng.random(cells.shape) < 0.05] = "NA"
+    cells[:, 4] = "1"
+    cells[:, 5] = "NA"
+    return [[f"s{j}" for j in range(q.size)]] + [list(row) for row in cells]
+
+
+def _render(cells, form):
+    if form == "padded":
+        cells = [[f" {c}" if (i + j) % 3 == 1 else f"{c} " if (i + j) % 3 == 2 else c
+                  for j, c in enumerate(row)] for i, row in enumerate(cells)]
+    elif form == "quoted":
+        cells = [[f'"{c}"' if (i + j) % 2 else c for j, c in enumerate(row)]
+                 for i, row in enumerate(cells)]
+    eol = "\r\n" if form == "crlf" else "\n"
+    text = eol.join(",".join(row) for row in cells)
+    return text if form == "no_final_newline" else text + eol
+
+
+@pytest.mark.parametrize("qc", [{}, {"max_missing": 1.0},
+                                {"hwe_min_pvalue": 0.2, "maf_min": 0.15}])
+@pytest.mark.parametrize("form", ["plain", "crlf", "padded", "quoted", "no_final_newline"])
+def test_load_genotypes_matches_the_per_cell_reference(tmp_path, form, qc):
+    p = geno_csv(tmp_path, _render(_panel_cells(), form))
+    got, want = load_genotype_csv(p, **qc), _reference_load_genotype_csv(p, **qc)
+    assert got.matrix.entries.tobytes() == want.matrix.entries.tobytes()
+    assert got.report == want.report
+    assert got.report.csv() == want.report.csv()
+    reasons = {r.split()[0] for _, r in got.report.dropped}
+    assert reasons == ({"missing", "constant"} if not qc
+                       else {"constant"} if "max_missing" in qc
+                       else {"missing", "constant", "HWE", "MAF"})
+
+
+@pytest.mark.parametrize("text", [
+    "s1,s2,s3\n0, 1,3\n1,1,1\n",            # a literal 3 after a padded cell
+    "s1,s2\n0,1\n1,x\n1\n",                # a bad cell on a line above a ragged line
+    "s1,s2\r\n0,1\r\n1,1\r\n2\r\n",         # a ragged row
+])
+def test_load_genotypes_fails_like_the_per_cell_reference(tmp_path, text):
+    p = geno_csv(tmp_path, text)
+    with pytest.raises(MalformedCsvError) as got:
+        load_genotype_csv(p)
+    with pytest.raises(MalformedCsvError) as want:
+        _reference_load_genotype_csv(p)
+    assert (got.value.line, str(got.value)) == (want.value.line, str(want.value))
 
 
 # --- phenotype and gene map -----------------------------------------------------
@@ -468,6 +624,24 @@ def test_exit_codes(tmp_path, capsys):
             pass
     assert len(payloads) == 1
     assert payloads[0]["error"] == "NonFiniteInputError" and payloads[0]["exit_code"] == 4
+
+
+@pytest.mark.parametrize("bad_file,exit_code", [("g.csv", 3), ("p.csv", 3), ("m.csv", 3),
+                                                 ("a.cfg", 2)])
+def test_undecodable_input_exits_with_one_json_line(tmp_path, capsys, bad_file, exit_code):
+    cfg = _panel_files(tmp_path, [f"{v:.6f}" for v in np.random.default_rng(5).normal(size=40)])
+    path = tmp_path / bad_file
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+    assert main(["rank", "--config", cfg, "--out", str(tmp_path / "out")]) == exit_code
+    payloads = []
+    for line in capsys.readouterr().err.splitlines():
+        try:
+            payloads.append(json.loads(line))
+        except ValueError:
+            pass
+    assert len(payloads) == 1
+    assert payloads[0]["exit_code"] == exit_code
+    assert payloads[0]["message"].endswith("not UTF-8 text (invalid start byte)")
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
