@@ -35,9 +35,11 @@ their memory is n x slab whatever the permutation count.  Ranking keeps
 only each gene's observed statistic and a running count of the permuted
 statistics that reach it.
 
-Replicates draw fresh genotypes and fresh signal placements.  Each
-replicate's seeds derive from the master seed and the replicate index, so
-results are identical however replicates are split across workers.
+Replicates draw fresh genotypes and fresh signal placements, all in
+``_draw_replicate``, which ``rareweak simulate`` calls too, so that it
+writes what a power replicate scores.  Each replicate's seeds derive from
+the master seed and the replicate index, so results are identical however
+replicates are split across workers.
 """
 
 from __future__ import annotations
@@ -46,15 +48,16 @@ import csv
 import io
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import chain, islice
 from typing import Sequence
 
 import numpy as np
 from scipy.stats import rankdata
 
 from ._blas import one_thread
-from ._rng import TAG_GENE, TAG_PERMUTE, TAG_REPLICATE, TAG_TRAIT, derive_seed, substream
+from ._rng import TAG_GENE, TAG_PERMUTE, TAG_REPLICATE, derive_seed, substream
 from .boundary import beta_from_r, signal_count
-from .core_stats import _scores, _two_sided_p, _unit_response, _z_from_rho, validated_inputs
+from .core_stats import GenotypeMatrix, Phenotype, _scores, _two_sided_p, _unit_response, _z_from_rho, validated_inputs
 from .detectors import _correlation_matrix, _hc_max_rows, _lct_columns, _whitened_stats, cholesky_lower
 from .errors import (
     BadSampleSizeError,
@@ -64,7 +67,7 @@ from .errors import (
     NonFiniteInputError,
     TooFewPermutationsError,
 )
-from .simgen import CoefficientScheme, LdSpec, SignalConfig, TraitModel, draw_signal_config, simulate_case_control, simulate_genotypes, simulate_quantitative
+from .simgen import CoefficientScheme, LdSpec, SignalConfig, TraitModel, _trait_noise, draw_signal_config, simulate_case_control, simulate_genotypes, simulate_quantitative
 
 METHOD_NAMES = ("HC", "HCm", "MinP", "LCT", "QT", "DT")
 
@@ -159,6 +162,13 @@ class Scenario:
     def null(self) -> "Scenario":
         return replace(self, base_beta=0.0, r=0.0 if self.r is not None else None)
 
+    def signal(self, seed: int) -> SignalConfig:
+        """The signal drawn from ``seed``'s signal stream, or the empty
+        signal when the scenario is null."""
+        if self.base_beta > 0.0:
+            return draw_signal_config(self.L, self.n_signals, self.scheme, self.base_beta, seed=seed)
+        return SignalConfig(support=np.empty(0, dtype=np.int64), beta=np.zeros(self.L))
+
 
 # ---------------------------------------------------------------------------
 # statistic kernels
@@ -219,8 +229,18 @@ def _permuted_responses(y: np.ndarray, n_perms: int, seed: int) -> np.ndarray:
     return next(_permutation_slabs(y, n_perms, seed, 1 + n_perms))
 
 
-def _zero_signal(L: int) -> SignalConfig:
-    return SignalConfig(support=np.array([0], dtype=np.int64), beta=np.zeros(L))
+def _draw_replicate(scenario: Scenario, seed: int) -> tuple[GenotypeMatrix, Phenotype, SignalConfig]:
+    """The panel, response and signal of one replicate of ``scenario``,
+    drawn from ``seed``: what a power replicate scores and what
+    ``rareweak simulate`` writes."""
+    signal = scenario.signal(seed)
+    if scenario.trait.kind == "additive":
+        X = simulate_genotypes(scenario.n, scenario.q, scenario.ld, seed=seed, L=scenario.L)
+        return X, simulate_quantitative(X, signal, scenario.trait.sigma, seed=seed), signal
+    X, y = simulate_case_control(scenario.q, scenario.ld, signal, scenario.trait.beta0,
+                                 scenario.trait.n_case, scenario.trait.n_control,
+                                 seed=seed, L=scenario.L)
+    return X, y, signal
 
 
 def _replicate_stats(scenario: Scenario, needs: frozenset[str], rep_seed: int,
@@ -230,22 +250,8 @@ def _replicate_stats(scenario: Scenario, needs: frozenset[str], rep_seed: int,
     Column 0 of each returned array is the observed statistic; columns
     1..n_perms come from permuted responses.
     """
-    L = scenario.L
-    has_signal = scenario.base_beta > 0.0 and scenario.n_signals > 0
-    signal = (draw_signal_config(L, scenario.n_signals, scenario.scheme,
-                                 scenario.base_beta, seed=rep_seed)
-              if has_signal else _zero_signal(L))
-
-    if scenario.trait.kind == "additive":
-        X = simulate_genotypes(scenario.n, scenario.q, scenario.ld, seed=rep_seed, L=L)
-        y = simulate_quantitative(X, signal, scenario.trait.sigma, seed=rep_seed).values
-    else:
-        X, pheno = simulate_case_control(scenario.q, scenario.ld, signal,
-                                         scenario.trait.beta0, scenario.trait.n_case,
-                                         scenario.trait.n_control, seed=rep_seed, L=L)
-        y = pheno.values
-
-    Y = _permuted_responses(y, n_perms, rep_seed)
+    X, y, _ = _draw_replicate(scenario, rep_seed)
+    Y = _permuted_responses(y.values, n_perms, rep_seed)
     return _stats_for_columns(X.entries, Y, scenario.trait_kind, needs)
 
 
@@ -398,27 +404,25 @@ def _fdr_chunk(scenario: Scenario, needs: tuple[str, ...], seed: int,
     Signal genes are the first ``n_signal_genes`` indices; genes are
     exchangeable so the labelling is arbitrary.  One shared response drives
     all genes in a simulation, and one shared permutation of it feeds the
-    null pool.
+    null pool.  Each gene's panel comes from its own gene seed, so panels
+    are drawn lazily: the signal panels first, to build the response, and
+    every other one when it is scored, so only the signal panels are held.
     """
     fs = frozenset(needs)
-    L, n = scenario.L, scenario.n
     out = {name: np.empty((hi - lo, n_genes, 2)) for name in needs}
     for i in range(lo, hi):
         rep_seed = derive_seed(seed, TAG_REPLICATE, i)
-        panels = []
-        genetic = np.zeros(n)
-        for g in range(n_genes):
-            gene_seed = derive_seed(rep_seed, TAG_GENE, g)
-            Xg = simulate_genotypes(n, scenario.q, scenario.ld, seed=gene_seed, L=L)
-            panels.append(Xg.entries)
-            if g < n_signal_genes and scenario.base_beta > 0.0:
-                cfg = draw_signal_config(L, scenario.n_signals, scenario.scheme,
-                                         scenario.base_beta, seed=gene_seed)
-                genetic += Xg.entries @ cfg.beta
-        y = genetic + scenario.trait.sigma * substream(rep_seed, TAG_TRAIT).standard_normal(n)
+        gene_seeds = [derive_seed(rep_seed, TAG_GENE, g) for g in range(n_genes)]
+        panels = (simulate_genotypes(scenario.n, scenario.q, scenario.ld, seed=s, L=scenario.L).entries
+                  for s in gene_seeds)
+        signal_panels = list(islice(panels, n_signal_genes))
+        genetic = np.zeros(scenario.n)
+        for Xg, gene_seed in zip(signal_panels, gene_seeds):
+            genetic += Xg @ scenario.signal(gene_seed).beta
+        y = genetic + _trait_noise(scenario.trait.sigma, rep_seed, scenario.n)
         Y = _permuted_responses(y, 1, rep_seed)
-        for g in range(n_genes):
-            stats = _stats_for_columns(panels[g], Y, "quantitative", fs)
+        for g, Xg in enumerate(chain(signal_panels, panels)):
+            stats = _stats_for_columns(Xg, Y, "quantitative", fs)
             for name in needs:
                 out[name][i - lo, g] = stats[name]
     return out
@@ -539,11 +543,13 @@ def _gene_chunk(X: np.ndarray, y: np.ndarray, n_perms: int, seed: int, gene_slic
 
 def _gene_columns(genes: Sequence[tuple[str, Sequence[int]]],
                   n_cols: int) -> tuple[tuple[str, ...], tuple[np.ndarray, ...]]:
-    """Gene names and their validated column indices into an n_cols-wide panel."""
+    """Gene names and their validated column indices into an n_cols-wide panel,
+    sorted: DT whitens in column order, so a gene map's row order must not
+    reach it."""
     names: list[str] = []
     slices: list[np.ndarray] = []
     for name, idx in genes:
-        ia = np.asarray(idx, dtype=np.int64)
+        ia = np.sort(np.asarray(idx, dtype=np.int64))
         if ia.size == 0:
             raise EmptyGeneError(str(name))
         if np.any(ia < 0) or np.any(ia >= n_cols):

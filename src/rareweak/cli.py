@@ -48,6 +48,7 @@ from .bench import (
     METHOD_NAMES,
     MethodId,
     Scenario,
+    _draw_replicate,
     csv_text,
     empirical_power,
     fdr_curve,
@@ -67,16 +68,7 @@ from .errors import (
     RareweakError,
     UnknownSnpIdError,
 )
-from .simgen import (
-    CoefficientScheme,
-    LdSpec,
-    TraitModel,
-    draw_signal_config,
-    simulate_case_control,
-    simulate_genotypes,
-    simulate_quantitative,
-    six_toeplitz_designs,
-)
+from .simgen import CoefficientScheme, LdSpec, TraitModel, six_toeplitz_designs
 
 logger = logging.getLogger(__name__)
 
@@ -318,7 +310,7 @@ def _csv_records(path: str, what: str) -> Iterator[tuple[list[str], Iterator]]:
         raise MalformedCsvError(str(path), 0, f"{what} not found: {path}")
     try:
         with p.open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
+            reader = csv.reader(fh, strict=True)
             header = next(reader, None)
             if header is None:
                 raise MalformedCsvError(str(path), 1, f"{path}: empty file")
@@ -604,20 +596,20 @@ def _scenarios_from_cfg(cfg: Config) -> list[Scenario]:
     scheme = cfg.get("scenario.scheme", "fixed")
     n_signals = _signal_counts_from_cfg(cfg, L)
     mode, strengths = _strengths_from_cfg(cfg)
+    if mode == "r" and trait.kind != "additive":
+        raise ConfigError("calibrated scenario.r needs an additive trait; "
+                          "give scenario.beta for logistic scenarios")
+    if mode == "r" and cfg.has("scenario.k"):
+        raise ConfigError("calibrated scenario.r derives the signal count "
+                          "from scenario.alpha; drop scenario.k")
     designs = cfg.get("scenario.ld", "identity")
     out = []
     for _, spec in designs:
         for s in strengths:
             if mode == "r":
-                if trait.kind != "additive":
-                    raise ConfigError("calibrated scenario.r needs an additive trait; "
-                                      "give scenario.beta for logistic scenarios")
                 sc = Scenario.from_strength(L=L, n=cfg.get("scenario.n"), q=q,
                                             sigma=trait.sigma, alpha=cfg.get("scenario.alpha"),
                                             r=s, ld=spec, scheme=scheme)
-                if cfg.has("scenario.k"):
-                    raise ConfigError("calibrated scenario.r derives the signal count "
-                                      "from scenario.alpha; drop scenario.k")
             else:
                 sc = Scenario(L=L, q=q, ld=spec, trait=trait, n_signals=n_signals,
                               base_beta=float(s), scheme=scheme,
@@ -660,31 +652,12 @@ def _cmd_simulate(cfg: Config, out_dir: Path, seed: int, workers: int) -> list[P
     if len(scenarios) != 1:
         raise ConfigError("simulate wants exactly one scenario; "
                           "use single-valued scenario.r/beta and scenario.ld")
-    sc = scenarios[0]
-    has_signal = sc.base_beta > 0.0 and sc.n_signals > 0
-    signal = (draw_signal_config(sc.L, sc.n_signals, sc.scheme, sc.base_beta, seed=seed)
-              if has_signal else None)
-    if sc.trait.kind == "additive":
-        X = simulate_genotypes(sc.n, sc.q, sc.ld, seed=seed, L=sc.L)
-        if signal is None:
-            from ._rng import TAG_TRAIT, substream
-
-            y = Phenotype(values=sc.trait.sigma * substream(seed, TAG_TRAIT).standard_normal(sc.n))
-        else:
-            y = simulate_quantitative(X, signal, sc.trait.sigma, seed=seed)
-    else:
-        from .bench import _zero_signal
-
-        X, y = simulate_case_control(sc.q, sc.ld, signal or _zero_signal(sc.L),
-                                     sc.trait.beta0, sc.trait.n_case, sc.trait.n_control,
-                                     seed=seed, L=sc.L)
-    ids = [f"snp_{j + 1}" for j in range(sc.L)]
+    X, y, signal = _draw_replicate(scenarios[0], seed)
+    ids = [f"snp_{j + 1}" for j in range(X.n_snps)]
     geno_rows = [[int(v) for v in row] for row in X.entries]
     meta = _meta("simulate", cfg, seed, workers)
-    meta["signal"] = {
-        "support": [] if signal is None else [int(j) for j in signal.support],
-        "beta": [] if signal is None else [float(signal.beta[j]) for j in signal.support],
-    }
+    meta["signal"] = {"support": [int(j) for j in signal.support],
+                      "beta": [float(signal.beta[j]) for j in signal.support]}
     out = [
         _write_artifact(out_dir, "genotypes", csv_text(ids, geno_rows), meta),
         _write_artifact(out_dir, "phenotype",

@@ -127,7 +127,7 @@ class NotSquareError(RareweakError):
 
 
 class BadKError(RareweakError):
-    """Requested number of signal coordinates is outside [1, L]."""
+    """A signal support is malformed, or a signal count to draw is outside [1, L]."""
 
 
 class UnattainableError(RareweakError):

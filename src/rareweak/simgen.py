@@ -406,19 +406,24 @@ class CoefficientScheme:
 
 @dataclass(frozen=True, eq=False)
 class SignalConfig:
-    """Realised signal: which columns carry effects and with what coefficients."""
+    """Realised signal: which columns carry effects and with what coefficients.
+
+    An empty support, with beta all zero, is the null signal.
+    """
 
     support: np.ndarray   # sorted, distinct column indices
     beta: np.ndarray      # length-L coefficient vector, zero off support
 
     def __post_init__(self):
-        s = np.asarray(self.support, dtype=np.int64)
+        s = np.unique(np.asarray(self.support, dtype=np.int64))
         b = np.asarray(self.beta, dtype=np.float64)
-        if s.size == 0 or s.size != np.unique(s).size:
-            raise BadKError("support must be non-empty and distinct")
+        if s.size != np.size(self.support):
+            raise BadKError("support must be distinct")
         if np.any(s < 0) or np.any(s >= b.size):
             raise BadKError("support indices outside 0..L-1")
-        object.__setattr__(self, "support", np.sort(s))
+        if np.count_nonzero(np.delete(b, s)):
+            raise BadKError("beta must be zero off the support")
+        object.__setattr__(self, "support", s)
         object.__setattr__(self, "beta", b)
 
     @property
@@ -485,8 +490,14 @@ def simulate_quantitative(X: GenotypeMatrix, signal: SignalConfig,
         raise DimensionMismatchError(f"signal is for L={signal.L}, panel has {X.n_snps}")
     y = X.entries @ signal.beta
     if sigma > 0.0:
-        y = y + sigma * substream(seed, TAG_TRAIT).standard_normal(X.n)
+        y = y + _trait_noise(sigma, seed, X.n)
     return Phenotype(values=y, kind="quantitative")
+
+
+def _trait_noise(sigma: float, seed: int, n: int) -> np.ndarray:
+    """n N(0, sigma^2) draws from the trait stream of ``seed``: the noise of
+    ``simulate_quantitative``, and of the response that FDR genes share."""
+    return sigma * substream(seed, TAG_TRAIT).standard_normal(n)
 
 
 def simulate_case_control(q, ld, signal: SignalConfig, beta0: float,

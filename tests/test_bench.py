@@ -538,12 +538,13 @@ def imputed_case_control_panel():
 
 def test_tied_permuted_statistics_count_whatever_the_column_order():
     # HC, MinP, LCT and QT do not depend on the order of a gene's columns in
-    # exact arithmetic, so neither may their p-values; DT does (it whitens by
-    # a Cholesky factor, which the order changes), so it is left out
+    # exact arithmetic, so neither may their p-values; DT whitens by a
+    # Cholesky factor, which the order changes, so a gene's columns are
+    # sorted before any statistic sees them
     X, y = imputed_case_control_panel()
     genes = [(f"g{i}", list(range(3 * i, 3 * i + 3))) for i in range(40)]
     reversed_genes = [(name, idx[::-1]) for name, idx in genes]
-    methods = ["HC", "MinP", "LCT", "QT"]
+    methods = ["HC", "MinP", "LCT", "QT", "DT"]
     a = rank_gene_sets(genes, X, y, methods, n_perms=1000, seed=8)
     b = rank_gene_sets(reversed_genes, X, y, methods, n_perms=1000, seed=8)
     np.testing.assert_array_equal(a.pvalues, b.pvalues)

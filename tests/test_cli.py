@@ -644,6 +644,51 @@ def test_undecodable_input_exits_with_one_json_line(tmp_path, capsys, bad_file, 
     assert payloads[0]["message"].endswith("not UTF-8 text (invalid start byte)")
 
 
+def _one_payload(capsys):
+    payloads = []
+    for line in capsys.readouterr().err.splitlines():
+        try:
+            payloads.append(json.loads(line))
+        except ValueError:
+            pass
+    assert len(payloads) == 1
+    return payloads[0]
+
+
+def _stray_quote_in_phenotype(tmp_path):
+    cells = [f"{v:.6f}" for v in np.random.default_rng(5).normal(size=40)]
+    cells[2] = '"1.5"3'                    # the lenient dialect read 1.53
+    return _panel_files(tmp_path, cells), tmp_path / "p.csv", 4, "',' expected after '\"'"
+
+
+def _open_quote_at_the_end_of_the_genotypes(tmp_path):
+    cfg = _panel_files(tmp_path, [f"{v:.6f}" for v in np.random.default_rng(5).normal(size=40)])
+    path = tmp_path / "g.csv"
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text[:-2] + '"1', encoding="utf-8")   # read as if the quote closed
+    return cfg, path, 41, "unexpected end of data"
+
+
+@pytest.mark.parametrize("files", [_stray_quote_in_phenotype,
+                                   _open_quote_at_the_end_of_the_genotypes])
+def test_malformed_quoting_exits_3_with_the_line(tmp_path, capsys, files):
+    cfg, path, line, reason = files(tmp_path)
+    assert main(["rank", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    payload = _one_payload(capsys)
+    assert payload["error"] == "MalformedCsvError" and payload["exit_code"] == 3
+    assert payload["message"] == f"{path}:{line}: {reason}"
+
+
+def test_calibrated_strengths_with_a_signal_count_exit_2(tmp_path, capsys):
+    cfg = write(tmp_path / "k.cfg", "scenario.L = 10\nscenario.n = 50\nscenario.q = 0.4\n"
+                "scenario.k = 2\nscenario.r = 0.5\nexecution.n_sims = 100\n")
+    assert main(["power", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert _one_payload(capsys) == {
+        "error": "ConfigError", "exit_code": 2,
+        "message": "calibrated scenario.r derives the signal count from scenario.alpha; "
+                   "drop scenario.k"}
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("methods", ["HC,MinP,QT", "HC,MinP"])
 def test_constant_simulated_response_exits_4_with_one_json_line(tmp_path, capsys, methods, workers):
@@ -796,7 +841,7 @@ def test_score_and_simulate_run_with_one_blas_thread(tmp_path, two_blas_threads,
     else:
         cfg = write(tmp_path / "s.cfg", "scenario.L = 6\nscenario.n = 40\nscenario.q = 0.4\n"
                     "scenario.k = 1\nscenario.beta = 0\nscenario.ld = toeplitz:0.2\n")
-        logs = [blas_threads_seen(cli, "simulate_genotypes")]
+        logs = [blas_threads_seen(bench, "simulate_genotypes")]
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     assert all(seen and all(counts and set(counts) == {1} for counts in seen) for seen in logs)
     assert _blas.thread_counts() == before

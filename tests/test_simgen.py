@@ -343,6 +343,20 @@ def test_signal_config_validation():
         SignalConfig(support=np.array([1, 1]), beta=np.zeros(5))
     with pytest.raises(BadKError):
         SignalConfig(support=np.array([7]), beta=np.zeros(5))
+    with pytest.raises(BadKError, match="zero off the support"):
+        SignalConfig(support=np.array([1]), beta=np.array([0.0, 0.5, 0.0, 0.2, 0.0]))
+    with pytest.raises(BadKError, match="zero off the support"):
+        SignalConfig(support=np.array([], dtype=np.int64), beta=np.array([0.0, 0.1]))
+    with pytest.raises(BadKError):
+        draw_signal_config(5, 0, CoefficientScheme.fixed(), 0.3, seed=1)
+
+
+def test_the_null_signal_is_an_empty_support():
+    null = SignalConfig(support=np.array([], dtype=np.int64), beta=np.zeros(6))
+    assert (null.K, null.L) == (0, 6)
+    X = simulate_genotypes(50, 0.4, LdSpec.identity(), seed=3, L=6)
+    y = simulate_quantitative(X, null, sigma=0.0, seed=5)
+    assert y.values.tobytes() == np.zeros(50).tobytes()   # +0 everywhere, no -0
 
 
 # --- trait simulation ---------------------------------------------------------
