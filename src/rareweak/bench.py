@@ -52,7 +52,6 @@ from itertools import chain, islice
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from ._blas import one_thread
 from ._rng import TAG_GENE, TAG_PERMUTE, TAG_REPLICATE, derive_seed, substream
@@ -127,11 +126,8 @@ class Scenario:
             raise DimensionMismatchError(f"base coefficient must be >= 0, got {self.base_beta!r}")
         if self.base_beta > 0.0 and not 1 <= self.n_signals <= self.L:
             raise DimensionMismatchError(f"need 1 <= n_signals <= L, got {self.n_signals}")
-        if self.trait.kind == "additive":
-            if self.n is None or self.n < 2:
-                raise BadSampleSizeError("additive scenarios need n >= 2")
-        elif self.trait.kind != "logistic":
-            raise ConfigError(f"unknown trait kind {self.trait.kind!r}")
+        if self.trait.kind == "additive" and (self.n is None or self.n < 2):
+            raise BadSampleSizeError("additive scenarios need n >= 2")
 
     @property
     def trait_kind(self) -> str:
@@ -324,13 +320,14 @@ def _run_chunked(fn, n_items: int, workers: int, *args):
     Every chunk runs with one BLAS thread (``_blas.one_thread``), in this
     process or in a pool worker, so ``workers`` is the only parallelism.
     """
-    workers = max(1, int(workers))
-    if workers == 1 or n_items < 2:
+    # at most one worker per item: each chunk is non-empty, each worker has a job
+    workers = max(1, min(int(workers), n_items))
+    if workers == 1:
         with one_thread():
             return [fn(*args, 0, n_items)]
-    bounds = np.linspace(0, n_items, workers + 1).astype(int)
-    jobs = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    bounds = np.linspace(0, n_items, workers + 1).astype(int).tolist()
+    jobs = list(zip(bounds[:-1], bounds[1:]))
+    with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
         return list(pool.map(_chunk_call, [(fn, args, lo, hi) for lo, hi in jobs]))
 
 
@@ -592,9 +589,16 @@ def rank_gene_sets(genes: Sequence[tuple[str, Sequence[int]]], X, y,
     for mi, m in enumerate(needs):
         exceed = np.concatenate([counts[m] for _, counts in chunks])
         pvals[mi] = (1.0 + exceed) / (1.0 + n_perms)
-    ranks = np.vstack([rankdata(pvals[mi], method="average") for mi in range(len(needs))])
+    ranks = np.vstack([_average_ranks(row) for row in pvals])
     return GeneRanking(genes=names, sizes=tuple(int(s.size) for s in slices),
                        methods=needs, pvalues=pvals, ranks=ranks, n_perms=n_perms, seed=seed)
+
+
+def _average_ranks(v: np.ndarray) -> np.ndarray:
+    """Ascending ranks of v from 1, each run of ties sharing its mean rank."""
+    _, tie, counts = np.unique(v, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)  # rank of each distinct value's last copy
+    return (ends - (counts - 1) / 2.0)[tie]
 
 
 # ---------------------------------------------------------------------------

@@ -111,30 +111,22 @@ class ArwScenario:
         return signal_count(self.L, self.alpha)
 
 
-def _select(value, j: int | None) -> np.ndarray | float:
-    arr = np.asarray(value, dtype=np.float64)
-    if j is None:
-        return arr if arr.ndim else float(arr)
-    return float(arr.ravel()[j] if arr.ndim else arr)
-
-
-def beta_from_r(scenario: ArwScenario, j: int | None = None):
+def beta_from_r(scenario: ArwScenario):
     """Per-signal regression coefficient implied by strength exponent r.
 
     beta = sigma * sqrt(2 r log L) / sqrt(2 n q (1 - q)), natural log.
-    Scalar inputs give a scalar; pass ``j`` to pick one coordinate of
-    array-valued r / q.
+    Scalar inputs give a scalar, array-valued r or q an array.
     """
-    r = _select(scenario.r, j)
-    q = _select(scenario.q, j)
+    r = np.asarray(scenario.r, dtype=np.float64)
+    q = np.asarray(scenario.q, dtype=np.float64)
     tau = np.sqrt(2.0 * r * np.log(scenario.L))
     beta = scenario.sigma * tau / np.sqrt(2.0 * scenario.n * q * (1.0 - q))
-    return beta if isinstance(beta, np.ndarray) else float(beta)
+    return beta if beta.ndim else float(beta)
 
 
-def r_from_beta(scenario: ArwScenario, beta, j: int | None = None):
+def r_from_beta(scenario: ArwScenario, beta):
     """Inverse of ``beta_from_r`` for the same scenario."""
-    q = _select(scenario.q, j)
+    q = np.asarray(scenario.q, dtype=np.float64)
     b = np.asarray(beta, dtype=np.float64)
     tau_sq = b * b * 2.0 * scenario.n * q * (1.0 - q) / (scenario.sigma ** 2)
     r = tau_sq / (2.0 * np.log(scenario.L))
@@ -215,9 +207,9 @@ def boundary_curve(alphas: Sequence[float], mode: CurveMode,
     if grid.size == 0:
         raise DimensionMismatchError("alpha grid is empty")
     edge_fn = detection_boundary if mode == "optimal" else minp_boundary
-    q = _select(scenario.q, None)
-    if isinstance(q, np.ndarray):
+    if np.ndim(scenario.q):
         raise DimensionMismatchError("boundary_curve needs a scalar allele frequency")
+    q = float(scenario.q)
     r_vals = np.array([edge_fn(float(a)) for a in grid])
     beta_vals = beta_from_r(replace(scenario, r=r_vals))
     h_vals = np.array([heritability(np.full(signal_count(scenario.L, float(a)), b), q, scenario.sigma)

@@ -32,14 +32,14 @@ import os
 import platform
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 import scipy
-from scipy.stats import chi2 as _chi2
+from scipy.special import chdtrc
 
 from . import __version__
 from ._blas import managed as blas_managed, one_thread
@@ -156,6 +156,12 @@ def _parse_scheme(s: str) -> CoefficientScheme:
     raise ConfigError(f"unknown coefficient scheme {s!r}")
 
 
+def _parse_trait(s: str) -> str:
+    if s not in ("additive", "logistic"):
+        raise ConfigError(f"must be additive or logistic, got {s!r}")
+    return s
+
+
 # key -> parser; each call site passes its own default, as a string, to
 # Config.get.  Every key any subcommand understands must be listed here
 _KNOWN_KEYS: dict[str, Callable[[str], object]] = {
@@ -169,7 +175,7 @@ _KNOWN_KEYS: dict[str, Callable[[str], object]] = {
     "scenario.beta": _parse_float_list,
     "scenario.ld": _parse_ld_list,
     "scenario.scheme": _parse_scheme,
-    "scenario.trait": str,
+    "scenario.trait": _parse_trait,
     "scenario.beta0": _parse_float,
     "scenario.n_case": _parse_int,
     "scenario.n_control": _parse_int,
@@ -198,10 +204,11 @@ _KNOWN_KEYS: dict[str, Callable[[str], object]] = {
 
 @dataclass
 class Config:
-    """Raw key=value strings plus the path they came from."""
+    """Raw key=value strings, the path they came from, and the defaults ``get`` used."""
 
     raw: dict[str, str]
     path: str
+    defaults: dict[str, str] = field(default_factory=dict)
 
     def has(self, key: str) -> bool:
         return key in self.raw
@@ -216,6 +223,7 @@ class Config:
                 raise ConfigError(f"{key}: {e}") from None
         if default is None:
             raise ConfigError(f"missing required key {key}")
+        self.defaults[key] = default
         return _KNOWN_KEYS[key](default)
 
     def get_optional(self, key: str) -> object | None:
@@ -298,7 +306,7 @@ def _hwe_pvalues(counts: np.ndarray) -> np.ndarray:
     n = obs.sum(axis=0)
     q = (obs[1] + 2.0 * obs[2]) / (2.0 * n)
     exp = n * np.array([(1.0 - q) ** 2, 2.0 * q * (1.0 - q), q * q])
-    return _chi2.sf(np.sum((obs - exp) ** 2 / exp, axis=0), df=1)
+    return chdtrc(1, np.sum((obs - exp) ** 2 / exp, axis=0))
 
 
 @contextmanager
@@ -420,12 +428,7 @@ def load_phenotype_csv(path: str, kind: str) -> Phenotype:
             except ValueError:
                 raise MalformedCsvError(str(path), lineno,
                                         f"{path}:{lineno}: cell {rec[0]!r} is not numeric") from None
-    try:
-        return Phenotype(values=np.asarray(values), kind=kind)  # type: ignore[arg-type]
-    except RareweakError:
-        raise
-    except Exception as e:  # pragma: no cover
-        raise MalformedCsvError(str(path), 0, f"{path}: {e}") from None
+    return Phenotype(values=np.asarray(values), kind=kind)  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)
@@ -534,7 +537,8 @@ def _environment() -> dict:
 
 
 def _meta(command: str, cfg: Config, seed: int, workers: int) -> dict:
-    return {"command": command, "config": dict(sorted(cfg.raw.items())),
+    # built after the last cfg.get, so that the config holds every default read
+    return {"command": command, "config": dict(sorted({**cfg.defaults, **cfg.raw}.items())),
             "seed": seed, "workers": workers}
 
 
@@ -560,11 +564,9 @@ def _trait_from_cfg(cfg: Config) -> TraitModel:
     kind = cfg.get("scenario.trait", "additive")
     if kind == "additive":
         return TraitModel.additive(cfg.get("scenario.sigma", "1.0"))
-    if kind == "logistic":
-        return TraitModel.logistic(cfg.get("scenario.beta0", "-2.0"),
-                                   cfg.get("scenario.n_case"),
-                                   cfg.get("scenario.n_control"))
-    raise ConfigError(f"scenario.trait must be additive or logistic, got {kind!r}")
+    return TraitModel.logistic(cfg.get("scenario.beta0", "-2.0"),
+                               cfg.get("scenario.n_case"),
+                               cfg.get("scenario.n_control"))
 
 
 def _signal_counts_from_cfg(cfg: Config, L: int) -> int:
@@ -668,8 +670,7 @@ def _cmd_simulate(cfg: Config, out_dir: Path, seed: int, workers: int) -> list[P
 
 
 def _load_panel(cfg: Config) -> tuple[LoadedGenotypes, Phenotype, str]:
-    kind = cfg.get("scenario.trait", "additive")
-    trait_kind = "binary" if kind == "logistic" else "quantitative"
+    trait_kind = "binary" if cfg.get("scenario.trait", "additive") == "logistic" else "quantitative"
     loaded = load_genotype_csv(
         cfg.get("io.genotypes"),
         max_missing=cfg.get("ingest.max_missing", "0.1"),
@@ -689,10 +690,6 @@ def _cmd_score(cfg: Config, out_dir: Path, seed: int, workers: int) -> list[Path
     marg = marginal_stats(loaded.matrix, pheno, stat_kind)
     marg_rows = [(snp, marg.values[j], marg.pvalues[j])
                  for j, snp in enumerate(loaded.snp_ids)]
-    meta = _meta("score", cfg, seed, workers)
-    artifacts = [_write_artifact(out_dir, "marginals",
-                                 csv_text(("snp", "statistic", "pvalue"), marg_rows), meta)]
-
     if cfg.has("io.gene_map"):
         gm = load_gene_map(cfg.get("io.gene_map"), loaded.snp_ids, loaded.report.snps)
         gene_list = gm.as_sequences()
@@ -703,9 +700,11 @@ def _cmd_score(cfg: Config, out_dir: Path, seed: int, workers: int) -> list[Path
     rows = [[name, idx.size] + [float(stats[m][gi]) for m in stats]
             for gi, (name, idx) in enumerate(gene_list)]
     header = ["gene", "snps"] + [f"stat_{m}" for m in stats]
-    artifacts.append(_write_artifact(out_dir, "set_statistics", csv_text(header, rows), meta))
-    artifacts.append(_write_artifact(out_dir, "ingest", loaded.report.csv(), meta))
-    return artifacts
+    meta = _meta("score", cfg, seed, workers)
+    return [_write_artifact(out_dir, "marginals",
+                            csv_text(("snp", "statistic", "pvalue"), marg_rows), meta),
+            _write_artifact(out_dir, "set_statistics", csv_text(header, rows), meta),
+            _write_artifact(out_dir, "ingest", loaded.report.csv(), meta)]
 
 
 def _cmd_power(cfg: Config, out_dir: Path, seed: int, workers: int) -> list[Path]:
@@ -742,10 +741,10 @@ def _cmd_rank(cfg: Config, out_dir: Path, seed: int, workers: int) -> list[Path]
     ranking = rank_gene_sets(gm.as_sequences(), loaded.matrix, pheno, methods,
                              n_perms=cfg.get("execution.n_perms", "10000"),
                              seed=seed, workers=workers)
+    targets = cfg.get_optional("rank.target_genes")
     meta = _meta("rank", cfg, seed, workers)
     artifacts = [_write_artifact(out_dir, "rank", ranking_csv(ranking), meta),
                  _write_artifact(out_dir, "ingest", loaded.report.csv(), meta)]
-    targets = cfg.get_optional("rank.target_genes")
     if targets:
         averages = ranking.average_ranks(targets)
         rows = [(m, averages[m], len(targets)) for m in ranking.methods]

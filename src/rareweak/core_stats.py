@@ -33,6 +33,7 @@ from scipy.special import erfc
 
 from .errors import (
     BadSampleSizeError,
+    ConfigError,
     ConstantColumnError,
     DegenerateCorrelationError,
     DimensionMismatchError,
@@ -93,12 +94,15 @@ class GenotypeMatrix:
 
 @dataclass(frozen=True)
 class Phenotype:
-    """Response vector, either a quantitative trait or 0/1 case status."""
+    """Response vector, either a quantitative trait or 0/1 case status; a
+    binary one holding other values raises ``NonFiniteInputError``."""
 
     values: np.ndarray
     kind: TraitKind = "quantitative"
 
     def __post_init__(self):
+        if self.kind not in ("quantitative", "binary"):
+            raise ConfigError(f"phenotype kind must be quantitative or binary, got {self.kind!r}")
         v = np.asarray(self.values, dtype=np.float64).ravel()
         if v.size < 2:
             raise BadSampleSizeError(f"need at least 2 phenotype values, got {v.size}")
@@ -154,7 +158,8 @@ def validated_inputs(X, y, kind: TraitKind | None = None,
     Raw arrays go through ``GenotypeMatrix`` and ``Phenotype``; a raw y takes
     ``kind`` (quantitative by default), a Phenotype must match ``kind`` when
     one is given.  With ``varying`` the response must carry information: a
-    quantitative one must not be constant, a binary one must hold both groups.
+    quantitative one must have n >= 3 (a t score needs n - 2 > 0) and not be
+    constant, a binary one must hold both groups.
     """
     Xa = as_genotype_matrix(X).entries
     if not isinstance(y, Phenotype):
@@ -170,6 +175,8 @@ def validated_inputs(X, y, kind: TraitKind | None = None,
             if n_case in (0, v.size):
                 raise EmptyGroupError(
                     f"need both groups non-empty, got {n_case} cases / {v.size - n_case} controls")
+        elif v.size < 3:
+            raise BadSampleSizeError(f"a quantitative response needs n >= 3, got {v.size}")
         elif v.max() == v.min():
             raise ConstantColumnError(-1, "response is constant")
     return Xa, v, y.kind

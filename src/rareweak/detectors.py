@@ -203,16 +203,13 @@ def bh_select(pvalues, alpha_fdr: float) -> int:
 
 @dataclass(frozen=True)
 class EmpiricalCorrelation:
-    """Validated column-correlation matrix (symmetric, unit diagonal)."""
+    """Validated column-correlation matrix (symmetric, unit diagonal); a
+    non-square or asymmetric one raises ``NotSquareError``."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise NotSquareError(f"correlation matrix must be square, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise NonFiniteInputError("correlation matrix contains non-finite values")
+        m = _as_square(self.matrix)
         if not np.allclose(m, m.T, atol=1e-12, rtol=0.0):
             raise NotSquareError("correlation matrix must be symmetric")
         if not np.allclose(np.diag(m), 1.0, atol=1e-12, rtol=0.0):
@@ -220,10 +217,6 @@ class EmpiricalCorrelation:
         if np.any(np.abs(m) > 1.0 + 1e-12):
             raise NonFiniteInputError("correlation entries must lie in [-1, 1]")
         object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 def _correlation_matrix(Z: np.ndarray) -> np.ndarray:

@@ -22,7 +22,8 @@ class RareweakError(Exception):
 
 
 class NonFiniteInputError(RareweakError):
-    """An input array contains NaN or infinity."""
+    """An input contains NaN or infinity, or a value outside its domain (a
+    binary phenotype value other than 0 and 1, for one)."""
 
 
 class ConstantColumnError(RareweakError):
@@ -119,7 +120,7 @@ class NotPositiveDefiniteError(RareweakError):
 
 
 class NotSquareError(RareweakError):
-    """A matrix that must be square is not."""
+    """A matrix that must be square, or symmetric, is not."""
 
 
 # ---------------------------------------------------------------------------

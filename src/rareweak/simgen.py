@@ -30,7 +30,6 @@ to its right.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.linalg import toeplitz as _toeplitz
@@ -47,10 +46,11 @@ from ._rng import (
     substream,
 )
 from .core_stats import GenotypeMatrix, Phenotype
-from .detectors import cholesky_lower
+from .detectors import EmpiricalCorrelation, cholesky_lower
 from .errors import (
     BadKError,
     BadSampleSizeError,
+    ConfigError,
     DimensionMismatchError,
     EmptyGroupError,
     LatentNotPDError,
@@ -84,11 +84,12 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class LdSpec:
-    """Declarative column-correlation design.
+    """Declarative column-correlation design, checked at construction.
 
     kinds: ``identity``; ``toeplitz_banded`` (band k of the Toeplitz target
     is ``bands[k-1]``, zero beyond); ``poly_decay`` (off-diagonal (j, k) is
-    scale * (1 + |j-k|)^-decay); ``explicit`` (a full matrix).
+    scale * (1 + |j-k|)^-decay); ``explicit`` (a full matrix, checked as an
+    ``EmpiricalCorrelation``).
     """
 
     kind: str
@@ -97,6 +98,23 @@ class LdSpec:
     decay: float = 0.0
     matrix: np.ndarray | None = None
 
+    def __post_init__(self):
+        if self.kind == "toeplitz_banded":
+            if not self.bands or not all(abs(b) < 1.0 for b in self.bands):  # NaN fails too
+                raise NonFiniteInputError(f"band values must lie in (-1, 1), got {self.bands}")
+        elif self.kind == "poly_decay":
+            # entries are scale*(1+lag)^-decay; the lag-1 entry must stay below 1
+            if not (0.0 < self.scale < np.inf and 0.0 < self.decay < np.inf):
+                raise NonFiniteInputError(
+                    f"need scale > 0 and decay > 0, got {self.scale!r}, {self.decay!r}")
+            if self.scale * 2.0 ** -self.decay >= 1.0:
+                raise NonFiniteInputError(f"scale {self.scale!r} with decay {self.decay!r} "
+                                          "puts the first off-diagonal at or above 1")
+        elif self.kind == "explicit":
+            object.__setattr__(self, "matrix", EmpiricalCorrelation(self.matrix).matrix)
+        elif self.kind != "identity":
+            raise ConfigError(f"unknown design kind {self.kind!r}")
+
     @classmethod
     def identity(cls) -> "LdSpec":
         return cls(kind="identity")
@@ -104,26 +122,15 @@ class LdSpec:
     @classmethod
     def toeplitz(cls, *bands: float) -> "LdSpec":
         b = tuple(float(v) for v in bands)
-        if not b:
-            return cls.identity()
-        if any(not np.isfinite(v) or abs(v) >= 1.0 for v in b):
-            raise NonFiniteInputError(f"band values must lie in (-1, 1), got {b}")
-        return cls(kind="toeplitz_banded", bands=b)
+        return cls(kind="toeplitz_banded", bands=b) if b else cls.identity()
 
     @classmethod
     def poly_decay(cls, scale: float, decay: float) -> "LdSpec":
-        # entries are scale*(1+lag)^-decay; the lag-1 entry must stay below 1
-        if not np.isfinite(scale) or scale <= 0.0 or not np.isfinite(decay) or decay <= 0.0:
-            raise NonFiniteInputError(f"need scale > 0 and decay > 0, got {scale!r}, {decay!r}")
-        if scale * 2.0 ** -decay >= 1.0:
-            raise NonFiniteInputError(
-                f"scale {scale!r} with decay {decay!r} puts the first off-diagonal at or above 1")
         return cls(kind="poly_decay", scale=float(scale), decay=float(decay))
 
     @classmethod
     def explicit(cls, matrix) -> "LdSpec":
-        m = np.asarray(matrix, dtype=np.float64)
-        return cls(kind="explicit", matrix=m)
+        return cls(kind="explicit", matrix=matrix)
 
     @property
     def name(self) -> str:
@@ -157,18 +164,10 @@ def build_ld(spec: LdSpec, L: int) -> np.ndarray:
         lag = np.abs(np.subtract.outer(np.arange(L), np.arange(L)))
         m = spec.scale * (1.0 + lag) ** (-spec.decay)
         np.fill_diagonal(m, 1.0)
-    elif spec.kind == "explicit":
-        m = np.array(spec.matrix, dtype=np.float64)
-        if m.ndim != 2 or m.shape != (L, L):
-            raise NotSquareError(f"explicit design must be {L} x {L}, got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise NonFiniteInputError("explicit design contains non-finite values")
-        if not np.allclose(m, m.T, atol=1e-12, rtol=0.0):
-            raise NotSquareError("explicit design must be symmetric")
-        if not np.allclose(np.diag(m), 1.0, atol=1e-12, rtol=0.0):
-            raise NonFiniteInputError("explicit design must have unit diagonal")
     else:
-        raise DimensionMismatchError(f"unknown design kind {spec.kind!r}")
+        if spec.matrix.shape != (L, L):
+            raise NotSquareError(f"explicit design must be {L} x {L}, got {spec.matrix.shape}")
+        m = spec.matrix.copy()
     try:
         cholesky_lower(m)
     except NotPositiveDefiniteError as e:
@@ -215,12 +214,12 @@ def _bivariate_normal_cdf(h, k, rho) -> np.ndarray:
     return np.where(h == k, equal, general)
 
 
-def solve_latent_correlation(rho_target, q_j, q_k, tol: float = 1e-8):
+def solve_latent_correlation(rho_target, q_j, q_k):
     """Latent normal correlation that yields a given Bernoulli correlation.
 
     For alleles thresholded at the q_j / q_k quantiles, returns the latent
     rho_z whose implied allele correlation matches ``rho_target`` to within
-    ``tol``.  Takes scalars, or arrays of one shape solved together (the
+    1e-8.  Takes scalars, or arrays of one shape solved together (the
     scalar call is the one-element case).  Targets outside the Frechet
     bounds for these marginals raise ``UnattainableError``; targets exactly
     on a bound return +-1.
@@ -259,7 +258,7 @@ def solve_latent_correlation(rho_target, q_j, q_k, tol: float = 1e-8):
         z[i[live]] = m = 0.5 * (lo[live] + hi[live])
         f = (_bivariate_normal_cdf(h[live], k[live], m) - qq[live]) / den[live] - target[live]
         lo[live], hi[live] = np.where(f < 0.0, m, lo[live]), np.where(f < 0.0, hi[live], m)
-        live = live[np.abs(f) > tol]
+        live = live[np.abs(f) > 1e-8]
     return float(z[0]) if shape == () else z.reshape(shape)
 
 
@@ -310,13 +309,11 @@ def _latent_chol(spec: LdSpec, L: int, q: np.ndarray) -> np.ndarray:
 # genotype panels
 
 
-def _as_freqs(q, L: int | None) -> np.ndarray:
+def _as_freqs(q, L: int) -> np.ndarray:
     qa = np.asarray(q, dtype=np.float64)
     if qa.ndim == 0:
-        if L is None:
-            raise DimensionMismatchError("scalar q needs an explicit L")
         qa = np.full(L, float(qa))
-    elif L is not None and qa.size != L:
+    elif qa.size != L:
         raise DimensionMismatchError(f"q has length {qa.size}, expected {L}")
     if not np.all(np.isfinite(qa)) or np.any(qa <= 0.0) or np.any(qa >= 1.0):
         raise NonFiniteInputError("allele frequencies must lie in (0, 1)")
@@ -383,6 +380,12 @@ class CoefficientScheme:
     lo: float = 1.0
     hi: float = 1.0
 
+    def __post_init__(self):
+        if self.kind not in ("fixed", "random_sign", "uniform_range"):
+            raise ConfigError(f"unknown coefficient scheme {self.kind!r}")
+        if self.kind == "uniform_range" and not (0.0 < self.lo <= self.hi < np.inf):
+            raise NonFiniteInputError(f"need 0 < lo <= hi, got {self.lo!r}, {self.hi!r}")
+
     @classmethod
     def fixed(cls) -> "CoefficientScheme":
         return cls(kind="fixed")
@@ -393,8 +396,6 @@ class CoefficientScheme:
 
     @classmethod
     def uniform_range(cls, lo: float, hi: float) -> "CoefficientScheme":
-        if not (0.0 < lo <= hi) or not np.isfinite(hi):
-            raise NonFiniteInputError(f"need 0 < lo <= hi, got {lo!r}, {hi!r}")
         return cls(kind="uniform_range", lo=float(lo), hi=float(hi))
 
     @property
@@ -449,8 +450,6 @@ def draw_signal_config(L: int, K: int, scheme: CoefficientScheme,
         coeffs *= rng.uniform(scheme.lo, scheme.hi, size=K)
     elif scheme.kind == "random_sign":
         coeffs *= rng.integers(0, 2, size=K) * 2.0 - 1.0
-    elif scheme.kind != "fixed":
-        raise NonFiniteInputError(f"unknown coefficient scheme {scheme.kind!r}")
     beta = np.zeros(L)
     beta[support] = coeffs
     return SignalConfig(support=support, beta=beta)
@@ -466,18 +465,22 @@ class TraitModel:
     n_case: int = 0
     n_control: int = 0
 
+    def __post_init__(self):
+        if self.kind not in ("additive", "logistic"):
+            raise ConfigError(f"unknown trait kind {self.kind!r}")
+        if not np.isfinite(self.sigma) or self.sigma < 0.0:
+            raise NonPositiveSigmaError(f"sigma must be non-negative, got {self.sigma!r}")
+        if self.kind == "logistic" and (self.n_case < 1 or self.n_control < 1):
+            raise EmptyGroupError(f"need positive quotas, got {self.n_case} / {self.n_control}")
+        if not np.isfinite(self.beta0):
+            raise NonFiniteInputError(f"intercept must be finite, got {self.beta0!r}")
+
     @classmethod
     def additive(cls, sigma: float = 1.0) -> "TraitModel":
-        if not np.isfinite(sigma) or sigma < 0.0:
-            raise NonPositiveSigmaError(f"sigma must be non-negative, got {sigma!r}")
         return cls(kind="additive", sigma=float(sigma))
 
     @classmethod
     def logistic(cls, beta0: float, n_case: int, n_control: int) -> "TraitModel":
-        if n_case < 1 or n_control < 1:
-            raise EmptyGroupError(f"need positive quotas, got {n_case} / {n_control}")
-        if not np.isfinite(beta0):
-            raise NonFiniteInputError(f"intercept must be finite, got {beta0!r}")
         return cls(kind="logistic", beta0=float(beta0), n_case=int(n_case), n_control=int(n_control))
 
 
@@ -502,19 +505,18 @@ def _trait_noise(sigma: float, seed: int, n: int) -> np.ndarray:
 
 def simulate_case_control(q, ld, signal: SignalConfig, beta0: float,
                           n_case: int, n_control: int, seed: int,
-                          L: int | None = None, batch: int = 2048,
+                          L: int | None = None,
                           stall_after: int = 4_194_304) -> tuple[GenotypeMatrix, Phenotype]:
     """Retrospective case/control panel under a logistic disease model.
 
-    Population genotype rows are drawn in batches; each row becomes a case
-    with probability expit(beta0 + x . beta) and is kept while its group's
-    quota is open.  Raises ``QuotaStallError`` when ``stall_after`` rows
-    have been drawn and an unfilled group's acceptance rate sits below 1e-6.
+    Population genotype rows are drawn in batches of 2048, one panel each;
+    each row becomes a case with probability expit(beta0 + x . beta) and is
+    kept while its group's quota is open.  Raises ``QuotaStallError`` when
+    ``stall_after`` rows have been drawn and an unfilled group's acceptance
+    rate sits below 1e-6.
     """
     if n_case < 1 or n_control < 1:
         raise EmptyGroupError(f"need positive quotas, got {n_case} / {n_control}")
-    if batch < 1:
-        raise BadSampleSizeError(f"batch must be positive, got {batch}")
     if L is None:
         L = signal.L
     if signal.L != L:
@@ -527,7 +529,7 @@ def simulate_case_control(q, ld, signal: SignalConfig, beta0: float,
     b = 0
     while got_case < n_case or got_control < n_control:
         child = derive_seed(seed, TAG_CASE_CONTROL, b)
-        Xb = simulate_genotypes(max(batch, 2), q, ld, seed=child, L=L).entries
+        Xb = simulate_genotypes(2048, q, ld, seed=child, L=L).entries
         u = substream(child, TAG_TRAIT).random(Xb.shape[0])
         is_case = u < expit(beta0 + Xb @ signal.beta)
         if got_case < n_case:

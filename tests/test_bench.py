@@ -441,6 +441,40 @@ def test_rank_pool_ships_no_response_matrix(monkeypatch):
     assert max(a.nbytes for a in arrays) <= X.nbytes
 
 
+def _chunk_bounds(lo, hi):
+    return lo, hi
+
+
+def test_pool_starts_one_worker_per_job(monkeypatch):
+    # a stand-in pool that records its size and runs the jobs here, so that
+    # no process is started whatever worker count is asked for
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", InlinePool)
+    X, y = rank_panel(seed=73, L=12)
+    genes = [(f"g{i}", list(range(4 * i, 4 * i + 4))) for i in range(3)]
+    wide = rank_gene_sets(genes, X, y, ["HC", "QT"], n_perms=100, seed=5, workers=500)
+    assert started == [3]
+    one = rank_gene_sets(genes, X, y, ["HC", "QT"], n_perms=100, seed=5, workers=1)
+    assert ranking_csv(wide) == ranking_csv(one)
+    assert bench._run_chunked(_chunk_bounds, 5, 10**15) == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
+    assert bench._run_chunked(_chunk_bounds, 7, 2) == [(0, 3), (3, 7)]
+    assert started == [3, 5, 2]
+
+
 # --- streamed permutations ------------------------------------------------------
 
 

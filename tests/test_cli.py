@@ -1,11 +1,20 @@
 """Config parsing, CSV ingestion, and the command-line entry point."""
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rareweak import (
+    METHOD_NAMES,
     CoefficientScheme,
     ConfigError,
     EmptyGeneError,
@@ -517,6 +526,39 @@ def test_sidecar_config_reproduces_run(tmp_path):
     assert (out1 / "phenotype.csv").read_bytes() == (out2 / "phenotype.csv").read_bytes()
 
 
+def test_sidecar_holds_the_effective_config(tmp_path):
+    path = write(tmp_path / "p.cfg", "scenario.L = 10\nscenario.n = 60\nscenario.q = 0.4\n"
+                 "scenario.alpha = 0.76\nscenario.r = 0.9\nexecution.n_sims = 400\n")
+    cfg = load_config(path)
+    run("power", cfg, out_dir=tmp_path / "a", seed=3)
+    config = json.loads((tmp_path / "a" / "power.meta.json").read_text())["config"]
+    assert {"execution.level": "0.05", "execution.perms_per_sim": "1", "scenario.ld": "identity",
+            "scenario.scheme": "fixed", "scenario.trait": "additive", "scenario.sigma": "1.0",
+            "analysis.methods": ",".join(METHOD_NAMES)}.items() <= config.items()
+    assert not cfg.has("execution.level")  # a default read is not a key given
+    replay = write(tmp_path / "replay.cfg", "".join(f"{k} = {v}\n" for k, v in config.items()))
+    assert main(["power", "--config", replay, "--out", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "a" / "power.csv").read_bytes() == (tmp_path / "b" / "power.csv").read_bytes()
+
+
+def test_unknown_trait_is_a_config_error(tmp_path, capsys):
+    cfg = _panel_files(tmp_path, ["0.3", "-0.7", "1.1", "0.2"])
+    with open(cfg, "a", encoding="utf-8") as fh:
+        fh.write("scenario.trait = Logistic\n")
+    assert main(["score", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ConfigError" and "scenario.trait" in err["message"]
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    # scipy.stats is most of an import's time and memory, and nothing needs it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, rareweak.cli; print('scipy.stats' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+    assert done.stdout.strip() == "False"
+
+
 def test_simulate_null_when_beta_zero(tmp_path):
     cfg = write(tmp_path / "n.cfg",
                 "scenario.L = 8\nscenario.n = 50\nscenario.q = 0.3\n"
@@ -814,6 +856,7 @@ execution.n_perms = 100
 @pytest.mark.parametrize("cells,error", [
     (["1.5"] * 40, "ConstantColumnError"),
     (["0.3"] * 20 + ["nan"] + ["-0.7"] * 19, "NonFiniteInputError"),
+    (["0.3", "-0.7"], "BadSampleSizeError"),  # every t score would read 0
 ])
 def test_uninformative_phenotype_exits_4(tmp_path, capsys, command, cells, error):
     cfg = _panel_files(tmp_path, cells)
@@ -867,3 +910,82 @@ def test_lapack_and_memory_errors_exit_4(tmp_path, capsys, monkeypatch, exc):
     assert len(payloads) == 1
     assert payloads[0] == {"error": type(exc).__name__, "message": str(exc), "exit_code": 4}
     assert not (tmp_path / "out").exists()
+
+
+# --- degenerate panels through the command line ----------------------------------
+
+
+@st.composite
+def degenerate_runs(draw):
+    """A small panel whose columns may be constant, duplicated or all NA, a
+    response that may hold one group only, and the command run on it."""
+    n = draw(st.sampled_from([2, 3, 4, 12]))
+    columns = draw(st.lists(st.sampled_from(["random", "constant", "duplicate", "all_na"]),
+                            min_size=1, max_size=5))
+    binary = draw(st.booleans())
+    one_group = binary and draw(st.booleans())
+    command = draw(st.sampled_from(["rank", "score"]))
+    return n, columns, binary, one_group, command, draw(st.integers(0, 2**32 - 1))
+
+
+def _write_degenerate_panel(d, n, columns, binary, one_group, seed):
+    rng = np.random.default_rng(seed)
+    cells = []
+    for kind in columns:
+        if kind == "constant":
+            cells.append([str(rng.integers(0, 3))] * n)
+        elif kind == "all_na":
+            cells.append(["NA"] * n)
+        elif kind == "duplicate" and cells:
+            cells.append(cells[rng.integers(len(cells))])
+        else:
+            cells.append([str(v) for v in rng.integers(0, 3, n)])
+    ids = [f"snp_{j}" for j in range(len(cells))]
+    write(d / "g.csv", ",".join(ids) + "\n" + "".join(",".join(row) + "\n" for row in zip(*cells)))
+    if one_group:
+        y = [str(rng.integers(0, 2))] * n
+    elif binary:
+        y = [str(v) for v in rng.integers(0, 2, n)]
+    else:
+        y = [repr(float(v)) for v in rng.standard_normal(n)]
+    write(d / "p.csv", "phenotype\n" + "".join(f"{v}\n" for v in y))
+    write(d / "m.csv", "gene,snp\n" + "".join(f"G{j % 2},{s}\n" for j, s in enumerate(ids)))
+    return write(d / "a.cfg", f"""
+io.genotypes = {d / 'g.csv'}
+io.phenotype = {d / 'p.csv'}
+io.gene_map = {d / 'm.csv'}
+scenario.trait = {'logistic' if binary else 'additive'}
+execution.n_perms = 100
+""")
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(degenerate_runs())
+def test_degenerate_panels_exit_cleanly(run_args):
+    # each run ends in finite p-values in (0, 1], or in one JSON error line
+    # with a documented exit code: never a traceback, a NaN or a warning
+    n, columns, binary, one_group, command, seed = run_args
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        cfg = _write_degenerate_panel(d, n, columns, binary, one_group, seed)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main([command, "--config", cfg, "--out", str(d / "out")])
+        payloads = []
+        for line in stderr.getvalue().splitlines():
+            try:
+                payloads.append(json.loads(line))
+            except ValueError:
+                pass
+        if code != 0:
+            assert code in (2, 3, 4) and len(payloads) == 1
+            assert payloads[0]["exit_code"] == code
+            return
+        assert not payloads
+        table = read_csv(d / "out" / ("rank.csv" if command == "rank" else "marginals.csv"))
+        p = np.array([float(v) for row in table for k, v in row.items() if k.startswith("pvalue")])
+        assert p.size and np.all(np.isfinite(p)) and np.all((p > 0.0) & (p <= 1.0))
+        if command == "score":
+            stats = read_csv(d / "out" / "set_statistics.csv")
+            assert all(np.isfinite(float(v)) for row in stats for k, v in row.items()
+                       if k.startswith("stat_"))

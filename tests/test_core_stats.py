@@ -7,6 +7,7 @@ from scipy.stats import norm
 
 from rareweak import (
     BadSampleSizeError,
+    ConfigError,
     ConstantColumnError,
     DegenerateCorrelationError,
     EmptyGroupError,
@@ -280,3 +281,17 @@ def test_phenotype_validation():
         Phenotype(values=np.array([0.0, 0.5]), kind="binary")
     ph = Phenotype(values=np.array([0.0, 1.0, 1.0]), kind="binary")
     assert ph.n_case == 2 and ph.n_control == 1
+
+
+def test_phenotype_kind_is_checked_at_construction():
+    # an unknown kind used to pass and fail later, inside the score kernel
+    with pytest.raises(ConfigError, match="quantitative or binary"):
+        Phenotype(values=np.array([0.0, 1.0, 1.0]), kind="Binary")
+
+
+def test_quantitative_response_needs_three_samples():
+    X = np.array([[0.0, 1.0], [2.0, 0.0]])
+    with pytest.raises(BadSampleSizeError, match="n >= 3"):
+        marginal_correlations(X, np.array([0.3, -0.7]))
+    # the known-sigma score needs no correlation, so n = 2 stays valid there
+    assert np.all(np.isfinite(zscores_known_sigma(X, np.array([0.3, -0.7]), 1.0)))

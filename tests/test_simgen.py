@@ -12,12 +12,18 @@ from scipy.stats import chi2, chisquare
 from rareweak import (
     BadKError,
     CoefficientScheme,
+    ConfigError,
     DimensionMismatchError,
+    EmptyGroupError,
     LatentNotPDError,
     LdSpec,
+    NonFiniteInputError,
+    NonPositiveSigmaError,
     NotPositiveDefiniteError,
+    NotSquareError,
     QuotaStallError,
     SignalConfig,
+    TraitModel,
     UnattainableError,
     build_ld,
     draw_signal_config,
@@ -55,6 +61,59 @@ def test_build_poly_decay():
     assert m[0, 1] == pytest.approx(0.125, rel=1e-15)       # (1+1)^-3
     assert m[0, 2] == pytest.approx(1.0 / 27.0, rel=1e-15)  # (1+2)^-3
     np.testing.assert_allclose(np.diag(m), 1.0)
+
+
+@pytest.mark.parametrize("build,error", [
+    (lambda: LdSpec(kind="banded"), ConfigError),
+    (lambda: LdSpec(kind="toeplitz_banded"), NonFiniteInputError),
+    (lambda: LdSpec(kind="toeplitz_banded", bands=(0.2, 1.0)), NonFiniteInputError),
+    (lambda: LdSpec(kind="toeplitz_banded", bands=(float("nan"),)), NonFiniteInputError),
+    (lambda: LdSpec.toeplitz(-1.5), NonFiniteInputError),
+    (lambda: LdSpec(kind="poly_decay", scale=0.5), NonFiniteInputError),
+    (lambda: LdSpec(kind="poly_decay", scale=3.0, decay=1.0), NonFiniteInputError),
+    (lambda: LdSpec.poly_decay(float("inf"), 1.0), NonFiniteInputError),
+    (lambda: LdSpec(kind="explicit"), NotSquareError),
+    (lambda: LdSpec.explicit(np.ones((2, 3))), NotSquareError),
+    (lambda: LdSpec.explicit([[1.0, 0.2], [0.3, 1.0]]), NotSquareError),
+    (lambda: LdSpec.explicit([[1.0, 0.2], [0.2, 0.9]]), NonFiniteInputError),
+    (lambda: LdSpec.explicit([[1.0, 1.5], [1.5, 1.0]]), NonFiniteInputError),
+    (lambda: LdSpec.explicit([[1.0, np.nan], [np.nan, 1.0]]), NonFiniteInputError),
+])
+def test_ld_spec_is_checked_at_construction(build, error):
+    with pytest.raises(error):
+        build()
+
+
+def test_explicit_design_is_checked_before_any_draw(monkeypatch):
+    monkeypatch.setattr(simgen, "column_generators", None)  # any draw would fail
+    with pytest.raises(NotSquareError):
+        simulate_genotypes(50, 0.3, np.array([[1.0, 0.2], [0.3, 1.0]]), seed=1)
+    with pytest.raises(NotSquareError, match="3 x 3"):
+        build_ld(LdSpec.explicit(np.eye(2)), 3)
+
+
+@pytest.mark.parametrize("build,error", [
+    (lambda: TraitModel(kind="probit"), ConfigError),
+    (lambda: TraitModel(kind="additive", sigma=-1.0), NonPositiveSigmaError),
+    (lambda: TraitModel.additive(float("nan")), NonPositiveSigmaError),
+    (lambda: TraitModel(kind="logistic", n_case=5), EmptyGroupError),
+    (lambda: TraitModel.logistic(-2.0, 0, 5), EmptyGroupError),
+    (lambda: TraitModel.logistic(float("inf"), 5, 5), NonFiniteInputError),
+])
+def test_trait_model_is_checked_at_construction(build, error):
+    with pytest.raises(error):
+        build()
+
+
+@pytest.mark.parametrize("build,error", [
+    (lambda: CoefficientScheme(kind="normal"), ConfigError),
+    (lambda: CoefficientScheme(kind="uniform_range", lo=2.0, hi=1.0), NonFiniteInputError),
+    (lambda: CoefficientScheme.uniform_range(0.0, 1.0), NonFiniteInputError),
+    (lambda: CoefficientScheme.uniform_range(1.0, float("inf")), NonFiniteInputError),
+])
+def test_coefficient_scheme_is_checked_at_construction(build, error):
+    with pytest.raises(error):
+        build()
 
 
 def test_build_rejects_indefinite_band():
