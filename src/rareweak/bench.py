@@ -17,12 +17,18 @@ permutation distribution.  The per-method statistics are
 with Sigma the empirical column correlation of the *observed* panel, which
 permutations of the response leave untouched.
 
-No statistic is computed here.  ``_stats_for_columns`` composes the batched
-kernels of ``core_stats`` (scores, p-values) and ``detectors`` (row-wise HC,
-correlation matrix, signed LCT, whitened QT and DT) and adds the orientation:
-|LCT|, since the public ``linear_combination_test`` is signed, and max |score|
-for MinP.  Scores and Sigma both come from the panel's standardised copy Z:
-the scores from Z' Y, Sigma as Z' Z.  Entry points validate inputs once, with
+No statistic is computed here.  The batched kernels of ``core_stats``
+(scores, p-values) and ``detectors`` (row-wise HC, correlation matrix, signed
+LCT, whitened QT and DT) are composed in two steps: ``_prepared_gene``
+standardises a gene's columns into Z and computes, once, what does not
+depend on the response (Sigma = Z' Z, its Cholesky factor, LCT's norm, the
+case/control score scale); ``_gene_stats`` turns the gene's correlations
+Z' Y into statistics and adds the orientation: |LCT|, since the public
+``linear_combination_test`` is signed, and max |score| for MinP.
+``_stats_for_columns`` is the two steps on one panel, as power and FDR
+replicates and ``permutation_cutoff`` use them; a ranking chunk prepares
+each gene once and scores every slab of permutations with one product
+against all of its genes.  Entry points validate inputs once, with
 ``core_stats.validated_inputs``, before any permutation is drawn.
 
 ``_permutation_slabs`` is the one place permutations are drawn.  It permutes
@@ -47,22 +53,36 @@ from __future__ import annotations
 import csv
 import io
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import chain, islice
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from ._blas import one_thread
 from ._rng import TAG_GENE, TAG_PERMUTE, TAG_REPLICATE, derive_seed, substream
 from .boundary import beta_from_r, signal_count
-from .core_stats import GenotypeMatrix, Phenotype, _scores, _two_sided_p, _unit_response, _z_from_rho, validated_inputs
-from .detectors import _correlation_matrix, _hc_max_rows, _lct_columns, _whitened_stats, cholesky_lower
+from .core_stats import (
+    GenotypeMatrix,
+    Phenotype,
+    _correlations,
+    _prepared_panel,
+    _scores_from_rho,
+    _two_sided_p,
+    _unit_response,
+    _z_from_rho,
+    validated_inputs,
+)
+from .detectors import _correlation_matrix, _hc_max_rows, _lct_columns, _lct_norm, _whitened_stats, cholesky_lower
 from .errors import (
     BadSampleSizeError,
     ConfigError,
+    ConstantColumnError,
+    DegenerateCorrelationError,
     DimensionMismatchError,
     EmptyGeneError,
+    MonomorphicColumnError,
     NonFiniteInputError,
     TooFewPermutationsError,
 )
@@ -170,29 +190,58 @@ class Scenario:
 # statistic kernels
 
 
+class _GeneFactors(NamedTuple):
+    """What a gene's statistics need besides its correlations, computed once
+    per panel: its columns' case/control score scale (None for a
+    quantitative trait), and from its Sigma, sqrt(ones' Sigma ones) and
+    Sigma's lower Cholesky factor, each None when no requested method needs
+    it."""
+
+    scale: np.ndarray | None
+    lct_norm: float | None
+    low: np.ndarray | None
+
+
+def _prepared_gene(X: np.ndarray, trait_kind: str, needs: frozenset[str],
+                   out: np.ndarray | None = None) -> tuple[np.ndarray, _GeneFactors]:
+    """A gene's standardised columns Z (``core_stats._prepared_panel``,
+    written into ``out`` when given) and its ``_GeneFactors``."""
+    Z, scale = _prepared_panel(X, trait_kind, out)
+    sigma_hat = _correlation_matrix(Z) if needs & {"LCT", "QT", "DT"} else None
+    return Z, _GeneFactors(scale, _lct_norm(sigma_hat) if "LCT" in needs else None,
+                           cholesky_lower(sigma_hat) if needs & {"QT", "DT"} else None)
+
+
+def _gene_stats(rho: np.ndarray, n: int, factors: _GeneFactors,
+                needs: frozenset[str]) -> dict[str, np.ndarray]:
+    """Per requested method, the m exceedance-oriented statistics of one gene
+    from its (L, m) correlations with the responses."""
+    out: dict[str, np.ndarray] = {}
+    scores = _scores_from_rho(rho, n, factors.scale)
+    if "HCm" in needs:
+        out["HCm"] = _hc_max_rows(_two_sided_p(_z_from_rho(rho, n).T))
+    if "HC" in needs:
+        out["HC"] = _hc_max_rows(_two_sided_p(scores.T))
+    if "MinP" in needs:
+        out["MinP"] = np.abs(scores).max(axis=0)
+    if "LCT" in needs:
+        out["LCT"] = np.abs(_lct_columns(scores, factors.lct_norm))
+    if needs & {"QT", "DT"}:
+        out.update(_whitened_stats(scores, factors.low, needs))
+    return out
+
+
 def _stats_for_columns(X: np.ndarray, Y: np.ndarray, trait_kind: str,
                        needs: frozenset[str]) -> dict[str, np.ndarray]:
     """Set-level statistics for every response column in Y.
 
     X is the (n, L) panel shared by all columns; Y is (n, m) unit responses
     (``core_stats._unit_response``).  Returns, per requested method, the m
-    exceedance-oriented statistics.
+    exceedance-oriented statistics.  This is the one-gene composition of the
+    steps that ranking runs apart (see ``_gene_chunk``).
     """
-    out: dict[str, np.ndarray] = {}
-    Z, rho, scores = _scores(X, Y, trait_kind)  # scores (L, m)
-    if "HCm" in needs:
-        out["HCm"] = _hc_max_rows(_two_sided_p(_z_from_rho(rho, X.shape[0]).T))
-    if "HC" in needs:
-        out["HC"] = _hc_max_rows(_two_sided_p(scores.T))
-    if "MinP" in needs:
-        out["MinP"] = np.abs(scores).max(axis=0)
-    if needs & {"LCT", "QT", "DT"}:
-        sigma_hat = _correlation_matrix(Z)
-        if "LCT" in needs:
-            out["LCT"] = np.abs(_lct_columns(scores, sigma_hat))
-        if needs & {"QT", "DT"}:
-            out.update(_whitened_stats(scores, cholesky_lower(sigma_hat), needs))
-    return out
+    Z, factors = _prepared_gene(X, trait_kind, needs)
+    return _gene_stats(_correlations(Z, Y), X.shape[0], factors, needs)
 
 
 # bytes of one slab of permuted responses: a ranking worker or a cutoff holds
@@ -207,16 +256,19 @@ def _slab_width(n: int) -> int:
 def _permutation_slabs(y: np.ndarray, n_perms: int, seed: int, width: int):
     """y's unit response u and n_perms permutations of it from the
     permutation stream of ``seed``, as (n, <= width) blocks in draw order: u
-    is column 0 of the first block.  Blocks are drawn lazily, one at a time."""
+    is column 0 of the first block.  Blocks are drawn lazily, one at a time,
+    and a caller that drops each block before asking for the next holds one."""
     u = _unit_response(y)
     n = u.size
     perm_rng = substream(seed, TAG_PERMUTE)
     total = 1 + n_perms
     for start in range(0, total, width):
-        Y = np.empty((n, min(width, total - start)))
-        for j in range(Y.shape[1]):
-            Y[:, j] = u if start + j == 0 else u[perm_rng.permutation(n)]
-        yield Y
+        # filled row by row, one contiguous response at a time
+        block = np.empty((min(width, total - start), n))
+        for j in range(block.shape[0]):
+            block[j] = u if start + j == 0 else u[perm_rng.permutation(n)]
+        yield block.T
+        del block  # the caller's reference is the only one while the next is drawn
 
 
 def _permuted_responses(y: np.ndarray, n_perms: int, seed: int) -> np.ndarray:
@@ -507,9 +559,16 @@ def _gene_chunk(X: np.ndarray, y: np.ndarray, n_perms: int, seed: int, gene_slic
     """Observed statistics of genes lo..hi, and how many of the n_perms
     permuted statistics reach each one, per method.
 
-    Each chunk draws the shared permutations itself, from the same stream,
-    in slabs of ``_slab_width(n)`` columns that it scores against every gene
-    of the chunk, so it holds one (n, slab) block whatever n_perms is.
+    The chunk gathers its genes' columns once, in gene order, into one
+    (n, W) block Z, so a SNP in two genes appears twice.  Each gene is
+    prepared once (``_prepared_gene``): its columns are standardised in place
+    and its ``_GeneFactors`` computed, so a constant or monomorphic column is
+    refused, naming the panel column, before any permutation is drawn.  The
+    chunk then draws the shared permutations itself, from the same stream,
+    in slabs of ``_slab_width(n)`` columns, and scores each slab with one
+    product rho = Z' Y, whose row slices are the genes' correlations; a
+    |rho| of 1 raises naming the panel column.  It holds one (n, slab)
+    block, Z and one (W, slab) product, whatever n_perms is.
 
     A permuted statistic t reaches the observed t0 when
     t >= t0 - _TIE_RTOL * max(1, |t0|).  On case/control panels many
@@ -522,20 +581,45 @@ def _gene_chunk(X: np.ndarray, y: np.ndarray, n_perms: int, seed: int, gene_slic
     orders of magnitude from each.
     """
     fs = frozenset(needs)
-    panels = [X[:, gene_slices[gi]] for gi in range(lo, hi)]
-    observed = {name: np.empty(hi - lo) for name in needs}
-    exceed = {name: np.zeros(hi - lo, dtype=np.int64) for name in needs}
-    for slab, Y in enumerate(_permutation_slabs(y, n_perms, seed, _slab_width(y.size))):
-        for g, Xg in enumerate(panels):
-            stats = _stats_for_columns(Xg, Y, trait_kind, fs)
+    genes = gene_slices[lo:hi]
+    cols = np.concatenate(genes)
+    ends = np.cumsum([g.size for g in genes])
+    spans = [slice(end - g.size, end) for g, end in zip(genes, ends)]
+    n = y.size
+    Z = X[:, cols]  # one gathered copy, each gene's columns standardised in place
+    factors = []
+    for g, s in zip(genes, spans):
+        with _panel_columns(g):
+            Zg = Z[:, s]
+            factors.append(_prepared_gene(Zg, trait_kind, fs, out=Zg)[1])
+    observed = {name: np.empty(len(genes)) for name in needs}
+    exceed = {name: np.zeros(len(genes), dtype=np.int64) for name in needs}
+    first = True
+    for Y in _permutation_slabs(y, n_perms, seed, _slab_width(n)):
+        rho = _correlations(Z, Y)
+        del Y  # so that the next slab is drawn with this one freed
+        for g, s in enumerate(spans):
+            with _panel_columns(genes[g]):
+                stats = _gene_stats(rho[s], n, factors[g], fs)
             for name in needs:
                 col = stats[name]
-                if slab == 0:
+                if first:
                     observed[name][g] = col[0]
                     col = col[1:]
                 t0 = observed[name][g]
                 exceed[name][g] += np.count_nonzero(col >= t0 - _TIE_RTOL * max(1.0, abs(t0)))
+        first = False
     return observed, exceed
+
+
+@contextmanager
+def _panel_columns(cols: np.ndarray):
+    """Re-raise a column error of a gene under the panel column, cols[index],
+    that its position in the gene stands for."""
+    try:
+        yield
+    except (ConstantColumnError, MonomorphicColumnError, DegenerateCorrelationError) as e:
+        raise type(e)(int(cols[e.index])) from None
 
 
 def _gene_columns(genes: Sequence[tuple[str, Sequence[int]]],

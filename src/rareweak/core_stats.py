@@ -16,11 +16,14 @@ Scores are mapped to p-values by the two-sided standard normal tail.
 
 Every score is read off one cross-product: ``_standardised`` centres the
 panel's columns and scales them to unit norm (Z), ``_unit_response`` does the
-same to the response (u), and rho = Z' u.  The private kernel ``_scores`` is
-batched over the columns of an (n, m) matrix of unit responses; the
-permutation benchmarks call it with every permuted response at once, the
-public functions here with m = 1.  Inputs are checked once, at entry, by
-``validated_inputs``.
+same to the response (u), and rho = Z' u.  The private kernel is batched
+over the columns of an (n, m) matrix of unit responses and comes in two
+steps: ``_prepared_panel`` standardises a panel once, and
+``_scores_from_rho`` turns any number of correlation blocks against it into
+scores.  The permutation benchmarks score every permuted response at once,
+the public functions here m = 1.  Inputs are checked once, at entry, by
+``validated_inputs``; the kernel itself refuses only what no score exists
+for (a constant or monomorphic column, or |rho| = 1 for a t score).
 """
 
 from __future__ import annotations
@@ -198,13 +201,14 @@ def _column_norms(A: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->j", A, A))
 
 
-def _standardised(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _standardised(X: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Z, X's columns centred and scaled to unit norm, and their centred norms.
 
-    Builds one (n, L) array: the centred copy is scaled in place.
+    Builds one (n, L) array, the centred copy scaled in place, or writes into
+    ``out``: ``out=X`` standardises a gathered copy with no second one.
     """
     require_varying_columns(X)
-    Z = X - X.mean(axis=0)
+    Z = np.subtract(X, X.mean(axis=0), out=out)
     norms = _column_norms(Z)
     Z /= norms
     return Z, norms
@@ -231,23 +235,33 @@ def _correlations(Z: np.ndarray, U: np.ndarray) -> np.ndarray:
     return rho
 
 
-def _scores(X: np.ndarray, U: np.ndarray, trait_kind: TraitKind) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Z, rho and the (L, m) marginal scores of X against unit responses U.
+def _prepared_panel(X: np.ndarray, trait_kind: TraitKind,
+                    out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """Z (``_standardised``, into ``out`` when given) and the scale that
+    ``_scores_from_rho`` turns X's correlations into scores with.
 
-    A quantitative score is t(rho).  With U the standardised 0/1 labels,
-    rho * ||xc|| / (2 sqrt(p (1 - p))) is exactly the case/control frequency
-    contrast of ``case_control_zscores``, whatever the group sizes.
+    A quantitative score is t(rho), with no scale (None).  With U the
+    standardised 0/1 labels, rho * ||xc|| / (2 sqrt(p (1 - p))) is exactly the
+    case/control frequency contrast of ``case_control_zscores``, whatever the
+    group sizes, so a binary panel's scale is that per-column factor; a
+    monomorphic column has none and raises ``MonomorphicColumnError``.
     """
-    if trait_kind == "binary":
-        p = X.mean(axis=0) / 2.0
-        mono = (p == 0.0) | (p == 1.0)
-        if np.any(mono):
-            raise MonomorphicColumnError(int(np.flatnonzero(mono)[0]))
-    Z, norms = _standardised(X)
-    rho = _correlations(Z, U)
     if trait_kind == "quantitative":
-        return Z, rho, _t_from_rho(rho, X.shape[0])
-    return Z, rho, rho * (0.5 * norms / np.sqrt(p * (1.0 - p)))[:, None]
+        return _standardised(X, out)[0], None
+    p = X.mean(axis=0) / 2.0
+    mono = (p == 0.0) | (p == 1.0)
+    if np.any(mono):
+        raise MonomorphicColumnError(int(np.flatnonzero(mono)[0]))
+    Z, norms = _standardised(X, out)
+    return Z, 0.5 * norms / np.sqrt(p * (1.0 - p))
+
+
+def _scores_from_rho(rho: np.ndarray, n: int, scale: np.ndarray | None) -> np.ndarray:
+    """The (L, m) marginal scores of correlations rho (L, m) with the panel
+    scale of ``_prepared_panel``."""
+    if scale is None:
+        return _t_from_rho(rho, n)
+    return rho * scale[:, None]
 
 
 def _z_from_rho(rho: np.ndarray, n: int) -> np.ndarray:
@@ -255,6 +269,12 @@ def _z_from_rho(rho: np.ndarray, n: int) -> np.ndarray:
 
 
 def _t_from_rho(rho: np.ndarray, n: int) -> np.ndarray:
+    """sqrt(n-2) * rho / sqrt(1 - rho^2).  |rho| = 1, a response collinear
+    with a column, has no t score: it raises ``DegenerateCorrelationError``
+    naming the first such row of rho."""
+    if rho.size and (rho.max() >= 1.0 or rho.min() <= -1.0):
+        flat = int(np.flatnonzero(np.abs(rho) >= 1.0)[0])
+        raise DegenerateCorrelationError(flat // (rho.shape[1] if rho.ndim == 2 else 1))
     return np.sqrt(n - 2.0) * rho / np.sqrt(1.0 - rho * rho)
 
 
@@ -309,8 +329,6 @@ def tstats_from_correlation(rho, n: int) -> np.ndarray:
     r = np.asarray(rho, dtype=np.float64)
     if not np.all(np.isfinite(r)):
         raise NonFiniteInputError("correlations contain non-finite values")
-    if np.any(np.abs(r) >= 1.0):
-        raise DegenerateCorrelationError(int(np.flatnonzero(np.abs(r) >= 1.0)[0]))
     return _t_from_rho(r, n)
 
 
@@ -324,7 +342,8 @@ def case_control_zscores(X, y) -> np.ndarray:
         sqrt(m) * (p1 - p0) / sqrt(2 p (1 - p)).
     """
     Xa, ya, _ = validated_inputs(X, y, kind="binary")
-    return _scores(Xa, _unit_response(ya)[:, None], "binary")[2][:, 0]
+    Z, scale = _prepared_panel(Xa, "binary")
+    return _scores_from_rho(_correlations(Z, _unit_response(ya)[:, None]), Xa.shape[0], scale)[:, 0]
 
 
 def pvalues_two_sided(stats) -> np.ndarray:

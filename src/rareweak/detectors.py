@@ -267,12 +267,17 @@ def cholesky_lower(matrix) -> np.ndarray:
     return np.tril(c)
 
 
-def _lct_columns(S: np.ndarray, sigma_hat: np.ndarray) -> np.ndarray:
-    """Signed sums of the (L, m) score columns standardised by ones' Sigma ones."""
+def _lct_norm(sigma_hat: np.ndarray) -> float:
+    """sqrt(ones' Sigma ones), the standard deviation of a sum of scores."""
     denom = float(sigma_hat.sum())
     if denom <= 0.0:
         raise NonPositiveQuadFormError(f"aggregate variance {denom!r} is not positive")
-    return S.sum(axis=0) / np.sqrt(denom)
+    return float(np.sqrt(denom))
+
+
+def _lct_columns(S: np.ndarray, norm: float) -> np.ndarray:
+    """Signed sums of the (L, m) score columns over their ``_lct_norm``."""
+    return S.sum(axis=0) / norm
 
 
 def _whitened_stats(S: np.ndarray, low: np.ndarray, needs) -> dict[str, np.ndarray]:
@@ -290,7 +295,7 @@ def _whitened_stats(S: np.ndarray, low: np.ndarray, needs) -> dict[str, np.ndarr
 def linear_combination_test(S, sigma_hat) -> float:
     """Sum of scores standardised by the covariance of the sum (signed)."""
     s, m = _as_test_inputs(S, sigma_hat)
-    return float(_lct_columns(s, m)[0])
+    return float(_lct_columns(s, _lct_norm(m))[0])
 
 
 def quadratic_test(S, sigma_hat) -> float:

@@ -323,8 +323,10 @@ def _as_freqs(q, L: int) -> np.ndarray:
 def simulate_genotypes(n: int, q, ld, seed: int, L: int | None = None) -> GenotypeMatrix:
     """Panel of n samples whose columns hit the design's correlation targets.
 
-    ``ld`` is an :class:`LdSpec` or an explicit target correlation matrix;
-    ``q`` is a scalar or per-column allele frequency.  Marginals are exactly
+    ``ld`` is an :class:`LdSpec` or an explicit target correlation matrix,
+    which is read as ``LdSpec.explicit``; an explicit design's size is L when
+    L is not given, and any other L raises ``NotSquareError``.  ``q`` is a
+    scalar or per-column allele frequency.  Marginals are exactly
     binomial(2, q_j) for correlated designs, and binomial(2, q_j rounded to
     a multiple of 2^-32) for identity panels, which draw raw Philox words
     (see the module docstring).  ``LdSpec.explicit(np.eye(L))`` takes the
@@ -332,16 +334,15 @@ def simulate_genotypes(n: int, q, ld, seed: int, L: int | None = None) -> Genoty
     """
     if n < 2:
         raise BadSampleSizeError(f"need n >= 2, got {n}")
-    if isinstance(ld, LdSpec):
-        spec = ld
-        if L is None:
+    spec = ld if isinstance(ld, LdSpec) else LdSpec.explicit(ld)
+    if L is None:
+        if spec.kind == "explicit":
+            L = spec.matrix.shape[0]
+        else:
             qa = np.asarray(q, dtype=np.float64)
             if qa.ndim == 0:
                 raise DimensionMismatchError("give L explicitly with a scalar q and an LdSpec")
             L = qa.size
-    else:
-        spec = LdSpec.explicit(ld)
-        L = spec.matrix.shape[0]
     qa = _as_freqs(q, L)
     if spec.kind == "identity":
         # raw Philox words in the layout the module docstring gives

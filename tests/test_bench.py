@@ -11,10 +11,12 @@ from rareweak import (
     CoefficientScheme,
     ConfigError,
     ConstantColumnError,
+    DegenerateCorrelationError,
     EmptyGeneError,
     EmptyGroupError,
     LdSpec,
     MethodId,
+    MonomorphicColumnError,
     NonFiniteInputError,
     Phenotype,
     Scenario,
@@ -216,6 +218,74 @@ def test_kernel_one_group_labels_fail_the_constant_response_check():
         with pytest.raises(ConstantColumnError) as err:
             _unit_response(labels)
         assert err.value.index == -1
+
+
+def test_gene_columns_are_checked_before_any_draw_naming_the_panel_column(no_permutations):
+    X, y = rank_panel()
+    genes = [("a", [0, 1, 2]), ("b", [7, 3, 5])]
+    constant = X.copy()
+    constant[:, 5] = 1.0
+    with pytest.raises(ConstantColumnError) as err:
+        rank_gene_sets(genes, constant, y, ["HC"], n_perms=100, seed=1)
+    assert err.value.index == 5
+    labels = Phenotype(values=np.arange(X.shape[0]) % 2.0, kind="binary")
+    monomorphic = X.copy()
+    monomorphic[:, 7] = 0.0
+    with pytest.raises(MonomorphicColumnError) as err:
+        rank_gene_sets(genes, monomorphic, labels, ["HC"], n_perms=100, seed=1)
+    assert err.value.index == 7
+
+
+def collinear_panel():
+    """64 samples whose response is panel column 4, a 0/2 column whose
+    standardised form is exactly +-1/8, so that its correlation with the
+    response is exactly 1."""
+    X, _ = rank_panel(seed=53, n=64, L=8)
+    X[:, 4] = np.tile([0.0, 2.0], 32)
+    return X, X[:, 4].copy()
+
+
+@pytest.mark.parametrize("methods", [["HC", "MinP"], ["QT", "DT"]])
+def test_a_response_collinear_with_a_column_raises_naming_it(methods):
+    # |rho| = 1 has no t score: not an infinite MinP, nor a bare ValueError
+    # from the triangular solve
+    X, y = collinear_panel()
+    genes = [("a", [0, 1]), ("b", [6, 4, 2])]
+    with pytest.raises(DegenerateCorrelationError) as err:
+        gene_set_statistics(genes, X, y, methods)
+    assert err.value.index == 4
+    with pytest.raises(DegenerateCorrelationError) as err:
+        rank_gene_sets(genes, X, y, methods, n_perms=100, seed=1)
+    assert err.value.index == 4
+    with pytest.raises(DegenerateCorrelationError):
+        marginal_stats(X, y, "t")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("trait_kind", ["quantitative", "binary"])
+def test_overlapping_genes_out_of_order_match_the_per_gene_kernel(trait_kind, workers):
+    # columns 2 and 3 sit in two genes each, and the gene map is neither in
+    # name nor in column order: the chunk's gathered block holds them twice
+    X, y = rank_panel(seed=97, n=150, L=10)
+    if trait_kind == "binary":
+        y = Phenotype(values=(y > 0).astype(float), kind="binary")
+    genes = [("c", [9, 2, 8]), ("a", [0, 1, 2, 3]), ("b", [5, 3, 4])]
+    needs = tuple(m for m in METHOD_NAMES if MethodId(m).applicable_to(trait_kind))
+    n_perms, seed = 300, 4
+    Xa, yv, kind = validated_inputs(X, y)
+    names, slices = bench._gene_columns(genes, Xa.shape[1])
+    chunks = bench._run_chunked(bench._gene_chunk, len(names), workers, Xa, yv, n_perms, seed,
+                                slices, kind, needs)
+    Y = bench._permuted_responses(yv, n_perms, seed)
+    for gi, (_, idx) in enumerate(genes):
+        per_gene = _stats_for_columns(Xa[:, np.sort(idx)], Y, kind, frozenset(needs))
+        for m in needs:
+            observed, exceed = (np.concatenate([c[k][m] for c in chunks])[gi] for k in (0, 1))
+            t0 = per_gene[m][0]
+            assert observed == pytest.approx(t0, rel=1e-12, abs=0.0), (m, gi)
+            # the same exceedance count, so the same p-value
+            reach = np.count_nonzero(per_gene[m][1:] >= t0 - bench._TIE_RTOL * max(1.0, abs(t0)))
+            assert exceed == reach, (m, gi)
 
 
 # --- method bookkeeping -------------------------------------------------------
@@ -535,16 +605,17 @@ def test_no_kernel_call_sees_more_than_one_slab(monkeypatch):
     width = 700
     _slab_columns(monkeypatch, X.shape[0], width)
     seen = []
-    real = bench._stats_for_columns
+    real = bench._correlations
 
-    def recorder(X, Y, trait_kind, needs):
+    def recorder(Z, Y):
         seen.append(Y.shape[1])
-        return real(X, Y, trait_kind, needs)
+        return real(Z, Y)
 
-    monkeypatch.setattr(bench, "_stats_for_columns", recorder)
+    monkeypatch.setattr(bench, "_correlations", recorder)
     genes = [("a", [0, 1, 2, 3]), ("b", [4, 5, 6, 7])]
     rank_gene_sets(genes, X, y, ["HC", "QT"], n_perms=10_000, seed=3)
-    assert max(seen) <= width and sum(seen) == len(genes) * 10_001
+    # one product per slab scores every gene of the chunk
+    assert max(seen) <= width and sum(seen) == 10_001
     seen.clear()
     permutation_cutoff("LCT", X, y, n_perms=10_000, level=0.05, seed=3)
     assert max(seen) <= width and sum(seen) == 10_001
@@ -616,7 +687,7 @@ def test_blas_cap_restores_after_an_error(two_blas_threads):
 def test_work_outside_the_chunks_runs_with_one_blas_thread(two_blas_threads, blas_threads_seen,
                                                           call):
     before = _blas.thread_counts()
-    seen = blas_threads_seen(bench, "_stats_for_columns")
+    seen = blas_threads_seen(bench, "_correlations")
     call(*rank_panel(seed=71, L=6))
     assert seen and all(counts and set(counts) == {1} for counts in seen)
     assert _blas.thread_counts() == before

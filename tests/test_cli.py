@@ -835,9 +835,9 @@ def test_run_requires_known_command(tmp_path):
         run("zap", cfg, out_dir=tmp_path)
 
 
-def _panel_files(tmp_path, phenotype_cells):
-    rng = np.random.default_rng(83)
-    geno = rng.binomial(2, 0.4, size=(len(phenotype_cells), 6))
+def _panel_files(tmp_path, phenotype_cells, geno=None):
+    if geno is None:
+        geno = np.random.default_rng(83).binomial(2, 0.4, size=(len(phenotype_cells), 6))
     ids = [f"snp_{j + 1}" for j in range(6)]
     write(tmp_path / "g.csv", ",".join(ids) + "\n"
           + "".join(",".join(str(v) for v in row) + "\n" for row in geno))
@@ -872,6 +872,19 @@ def test_uninformative_phenotype_exits_4(tmp_path, capsys, command, cells, error
     assert not (tmp_path / "out").exists()
 
 
+def test_phenotype_collinear_with_a_snp_exits_4(tmp_path, capsys):
+    # the phenotype is SNP 5, a 0/2 column of 64 samples, so |rho| is exactly
+    # 1 and no t score exists
+    geno = np.random.default_rng(89).binomial(2, 0.4, size=(64, 6))
+    geno[:, 4] = np.tile([0, 2], 32)
+    cfg = _panel_files(tmp_path, [f"{v}.0" for v in geno[:, 4]], geno)
+    assert main(["rank", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+    payload = _one_payload(capsys)
+    assert payload["error"] == "DegenerateCorrelationError" and payload["exit_code"] == 4
+    assert "index 4" in payload["message"]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.skipif(not _blas.managed(), reason="this BLAS's thread count cannot be set")
 @pytest.mark.parametrize("command", ["score", "simulate"])
 def test_score_and_simulate_run_with_one_blas_thread(tmp_path, two_blas_threads,
@@ -880,7 +893,7 @@ def test_score_and_simulate_run_with_one_blas_thread(tmp_path, two_blas_threads,
     if command == "score":
         cfg = _panel_files(tmp_path, [f"{v:.6f}" for v in np.random.default_rng(3).normal(size=40)])
         logs = [blas_threads_seen(cli, "marginal_stats"),
-                blas_threads_seen(bench, "_stats_for_columns")]
+                blas_threads_seen(bench, "_correlations")]
     else:
         cfg = write(tmp_path / "s.cfg", "scenario.L = 6\nscenario.n = 40\nscenario.q = 0.4\n"
                     "scenario.k = 1\nscenario.beta = 0\nscenario.ld = toeplitz:0.2\n")

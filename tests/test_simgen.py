@@ -92,6 +92,18 @@ def test_explicit_design_is_checked_before_any_draw(monkeypatch):
         build_ld(LdSpec.explicit(np.eye(2)), 3)
 
 
+def test_raw_matrix_design_is_read_as_an_explicit_spec(monkeypatch):
+    # a raw matrix and LdSpec.explicit resolve L the same way: from the
+    # matrix when L is not given, and a different L is refused before any draw
+    a = simulate_genotypes(50, 0.3, np.eye(3), seed=1)
+    b = simulate_genotypes(50, 0.3, LdSpec.explicit(np.eye(3)), seed=1, L=3)
+    assert a.entries.shape == (50, 3) and a.entries.tobytes() == b.entries.tobytes()
+    monkeypatch.setattr(simgen, "column_generators", None)  # any draw would fail
+    for ld in (np.eye(3), LdSpec.explicit(np.eye(3))):
+        with pytest.raises(NotSquareError, match="5 x 5"):
+            simulate_genotypes(50, 0.3, ld, seed=1, L=5)
+
+
 @pytest.mark.parametrize("build,error", [
     (lambda: TraitModel(kind="probit"), ConfigError),
     (lambda: TraitModel(kind="additive", sigma=-1.0), NonPositiveSigmaError),
