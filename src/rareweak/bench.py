@@ -19,17 +19,17 @@ permutations of the response leave untouched.
 
 No statistic is computed here.  The batched kernels of ``core_stats``
 (scores, p-values) and ``detectors`` (row-wise HC, correlation matrix, signed
-LCT, whitened QT and DT) are composed in two steps: ``_prepared_gene``
-standardises a gene's columns into Z and computes, once, what does not
-depend on the response (Sigma = Z' Z, its Cholesky factor, LCT's norm, the
-case/control score scale); ``_gene_stats`` turns the gene's correlations
-Z' Y into statistics and adds the orientation: |LCT|, since the public
-``linear_combination_test`` is signed, and max |score| for MinP.
-``_stats_for_columns`` is the two steps on one panel, as power and FDR
-replicates and ``permutation_cutoff`` use them; a ranking chunk prepares
-each gene once and scores every slab of permutations with one product
-against all of its genes.  Entry points validate inputs once, with
-``core_stats.validated_inputs``, before any permutation is drawn.
+LCT, whitened QT and DT) are composed once, for a block of gene sets:
+``_prepared_block`` standardises the genes' columns, side by side, into Z
+and computes what does not depend on the response (the case/control score
+scale, and per gene Sigma's Cholesky factor and LCT's norm);
+``_block_stats`` turns Z' Y into every gene's statistics and adds the
+orientation: |LCT|, since the public ``linear_combination_test`` is signed,
+and max |score| for MinP.  Power and FDR replicates score one gene
+(``_stats_for_columns``), ``permutation_cutoff`` scores one gene slab by
+slab, and a ranking chunk all of its genes with one product per slab.
+Entry points validate inputs once, with ``core_stats.validated_inputs``,
+before any permutation is drawn.
 
 ``_permutation_slabs`` is the one place permutations are drawn.  It permutes
 the response's unit form (``core_stats._unit_response``), which a permutation
@@ -37,9 +37,9 @@ keeps centred with unit norm, so no block is centred again.  Power replicates
 and FDR simulations take all of theirs as one block
 (``_permuted_responses``), while ``permutation_cutoff`` and gene ranking
 stream them in slabs of ``_slab_width(n)`` columns, a fixed byte budget, so
-their memory is n x slab whatever the permutation count.  Ranking keeps
-only each gene's observed statistic and a running count of the permuted
-statistics that reach it.
+their memory is n x slab whatever the permutation count.  Ranking scores
+each gene's observed statistic on its own first, then keeps only a running
+count of the permuted statistics that reach it.
 
 Replicates draw fresh genotypes and fresh signal placements, all in
 ``_draw_replicate``, which ``rareweak simulate`` calls too, so that it
@@ -53,7 +53,6 @@ from __future__ import annotations
 import csv
 import io
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import chain, islice
 from typing import NamedTuple, Sequence
@@ -190,44 +189,53 @@ class Scenario:
 # statistic kernels
 
 
-class _GeneFactors(NamedTuple):
-    """What a gene's statistics need besides its correlations, computed once
-    per panel: its columns' case/control score scale (None for a
-    quantitative trait), and from its Sigma, sqrt(ones' Sigma ones) and
-    Sigma's lower Cholesky factor, each None when no requested method needs
-    it."""
+class _Block(NamedTuple):
+    """Gene sets prepared for scoring: Z, their standardised columns side by
+    side; each gene's span of Z's columns; Z's case/control score scale (None
+    for a quantitative trait); per gene sqrt(ones' Sigma ones) and Sigma's
+    lower Cholesky factor, each None when no requested method needs it."""
 
+    Z: np.ndarray
+    spans: tuple[slice, ...]
     scale: np.ndarray | None
-    lct_norm: float | None
-    low: np.ndarray | None
+    lct_norms: tuple[float | None, ...]
+    lows: tuple[np.ndarray | None, ...]
 
 
-def _prepared_gene(X: np.ndarray, trait_kind: str, needs: frozenset[str],
-                   out: np.ndarray | None = None) -> tuple[np.ndarray, _GeneFactors]:
-    """A gene's standardised columns Z (``core_stats._prepared_panel``,
-    written into ``out`` when given) and its ``_GeneFactors``."""
+def _prepared_block(X: np.ndarray, spans: Sequence[slice], trait_kind: str,
+                    needs: frozenset[str], out: np.ndarray | None = None) -> _Block:
+    """The ``_Block`` of the genes whose columns of X ``spans`` mark, X
+    standardised in one ``core_stats._prepared_panel`` call (into ``out``
+    when given)."""
     Z, scale = _prepared_panel(X, trait_kind, out)
-    sigma_hat = _correlation_matrix(Z) if needs & {"LCT", "QT", "DT"} else None
-    return Z, _GeneFactors(scale, _lct_norm(sigma_hat) if "LCT" in needs else None,
-                           cholesky_lower(sigma_hat) if needs & {"QT", "DT"} else None)
+    lct_norms, lows = [], []
+    for s in spans:
+        sigma_hat = _correlation_matrix(Z[:, s]) if needs & {"LCT", "QT", "DT"} else None
+        lct_norms.append(_lct_norm(sigma_hat) if "LCT" in needs else None)
+        lows.append(cholesky_lower(sigma_hat) if needs & {"QT", "DT"} else None)
+    return _Block(Z, tuple(spans), scale, tuple(lct_norms), tuple(lows))
 
 
-def _gene_stats(rho: np.ndarray, n: int, factors: _GeneFactors,
-                needs: frozenset[str]) -> dict[str, np.ndarray]:
-    """Per requested method, the m exceedance-oriented statistics of one gene
-    from its (L, m) correlations with the responses."""
-    out: dict[str, np.ndarray] = {}
-    scores = _scores_from_rho(rho, n, factors.scale)
-    if "HCm" in needs:
-        out["HCm"] = _hc_max_rows(_two_sided_p(_z_from_rho(rho, n).T))
-    if "HC" in needs:
-        out["HC"] = _hc_max_rows(_two_sided_p(scores.T))
-    if "MinP" in needs:
-        out["MinP"] = np.abs(scores).max(axis=0)
-    if "LCT" in needs:
-        out["LCT"] = np.abs(_lct_columns(scores, factors.lct_norm))
-    if needs & {"QT", "DT"}:
-        out.update(_whitened_stats(scores, factors.low, needs))
+def _block_stats(block: _Block, rho: np.ndarray, n: int,
+                 needs: frozenset[str]) -> dict[str, np.ndarray]:
+    """Per requested method, the (genes, m) exceedance-oriented statistics of
+    the block's genes from Z's (W, m) correlations with the responses: one
+    score conversion for the whole block, then each gene's rows."""
+    scores = _scores_from_rho(rho, n, block.scale)
+    out = {name: np.empty((len(block.spans), rho.shape[1])) for name in needs}
+    for g, s in enumerate(block.spans):
+        gene_scores = scores[s]
+        if "HCm" in needs:
+            out["HCm"][g] = _hc_max_rows(_two_sided_p(_z_from_rho(rho[s], n).T))
+        if "HC" in needs:
+            out["HC"][g] = _hc_max_rows(_two_sided_p(gene_scores.T))
+        if "MinP" in needs:
+            out["MinP"][g] = np.abs(gene_scores).max(axis=0)
+        if "LCT" in needs:
+            out["LCT"][g] = np.abs(_lct_columns(gene_scores, block.lct_norms[g]))
+        if needs & {"QT", "DT"}:
+            for name, stat in _whitened_stats(gene_scores, block.lows[g], needs).items():
+                out[name][g] = stat
     return out
 
 
@@ -237,11 +245,12 @@ def _stats_for_columns(X: np.ndarray, Y: np.ndarray, trait_kind: str,
 
     X is the (n, L) panel shared by all columns; Y is (n, m) unit responses
     (``core_stats._unit_response``).  Returns, per requested method, the m
-    exceedance-oriented statistics.  This is the one-gene composition of the
-    steps that ranking runs apart (see ``_gene_chunk``).
+    exceedance-oriented statistics.  This is the one-gene case of the block
+    scorer that ranking runs on many genes at once (see ``_gene_chunk``).
     """
-    Z, factors = _prepared_gene(X, trait_kind, needs)
-    return _gene_stats(_correlations(Z, Y), X.shape[0], factors, needs)
+    block = _prepared_block(X, (slice(None),), trait_kind, needs)
+    stats = _block_stats(block, _correlations(block.Z, Y), X.shape[0], needs)
+    return {name: gene[0] for name, gene in stats.items()}
 
 
 # bytes of one slab of permuted responses: a ranking worker or a cutoff holds
@@ -253,28 +262,30 @@ def _slab_width(n: int) -> int:
     return max(1, _SLAB_BYTES // (8 * n))
 
 
-def _permutation_slabs(y: np.ndarray, n_perms: int, seed: int, width: int):
-    """y's unit response u and n_perms permutations of it from the
-    permutation stream of ``seed``, as (n, <= width) blocks in draw order: u
-    is column 0 of the first block.  Blocks are drawn lazily, one at a time,
-    and a caller that drops each block before asking for the next holds one."""
-    u = _unit_response(y)
+def _permutation_slabs(u: np.ndarray, n_perms: int, seed: int, width: int, lead: bool):
+    """n_perms permutations of the unit response u from the permutation
+    stream of ``seed``, after u itself when ``lead``, as (n, <= width) blocks
+    in draw order.  Blocks are drawn lazily, one at a time, and none is kept
+    here once yielded, so a caller that drops a block frees it."""
     n = u.size
     perm_rng = substream(seed, TAG_PERMUTE)
-    total = 1 + n_perms
-    for start in range(0, total, width):
+    total = lead + n_perms
+
+    def slab(start: int) -> np.ndarray:
         # filled row by row, one contiguous response at a time
         block = np.empty((min(width, total - start), n))
         for j in range(block.shape[0]):
-            block[j] = u if start + j == 0 else u[perm_rng.permutation(n)]
-        yield block.T
-        del block  # the caller's reference is the only one while the next is drawn
+            block[j] = u if lead and start + j == 0 else u[perm_rng.permutation(n)]
+        return block.T
+
+    for start in range(0, total, width):
+        yield slab(start)  # never bound here: the caller's reference is the only one
 
 
 def _permuted_responses(y: np.ndarray, n_perms: int, seed: int) -> np.ndarray:
     """(n, 1 + n_perms) matrix: y's unit response, then n_perms permutations
     of it from the permutation stream of ``seed``; the single-slab draw."""
-    return next(_permutation_slabs(y, n_perms, seed, 1 + n_perms))
+    return next(_permutation_slabs(_unit_response(y), n_perms, seed, 1 + n_perms, True))
 
 
 def _draw_replicate(scenario: Scenario, seed: int) -> tuple[GenotypeMatrix, Phenotype, SignalConfig]:
@@ -286,8 +297,7 @@ def _draw_replicate(scenario: Scenario, seed: int) -> tuple[GenotypeMatrix, Phen
         X = simulate_genotypes(scenario.n, scenario.q, scenario.ld, seed=seed, L=scenario.L)
         return X, simulate_quantitative(X, signal, scenario.trait.sigma, seed=seed), signal
     X, y = simulate_case_control(scenario.q, scenario.ld, signal, scenario.trait.beta0,
-                                 scenario.trait.n_case, scenario.trait.n_control,
-                                 seed=seed, L=scenario.L)
+                                 scenario.trait.n_case, scenario.trait.n_control, seed=seed)
     return X, y, signal
 
 
@@ -331,10 +341,13 @@ def permutation_cutoff(method: str | MethodId, X, y, n_perms: int, level: float,
             f"need at least {int(np.ceil(20.0 / level))} permutations at level {level}, got {n_perms}")
     Xa, yv, kind = validated_inputs(X, y)
     name = _as_methods([method], kind)[0].name
+    needs = frozenset({name})
     with one_thread():
+        block = _prepared_block(Xa, (slice(None),), kind, needs)
         # scored slab by slab: only the 1-D statistics are pooled
-        stats = [_stats_for_columns(Xa, Y, kind, frozenset({name}))[name]
-                 for Y in _permutation_slabs(yv, n_perms, seed, _slab_width(yv.size))]
+        stats = [_block_stats(block, _correlations(block.Z, Y), yv.size, needs)[name][0]
+                 for Y in _permutation_slabs(_unit_response(yv), n_perms, seed,
+                                             _slab_width(yv.size), True)]
     return _pooled_cutoff(np.concatenate(stats)[1:], level)
 
 
@@ -560,15 +573,17 @@ def _gene_chunk(X: np.ndarray, y: np.ndarray, n_perms: int, seed: int, gene_slic
     permuted statistics reach each one, per method.
 
     The chunk gathers its genes' columns once, in gene order, into one
-    (n, W) block Z, so a SNP in two genes appears twice.  Each gene is
-    prepared once (``_prepared_gene``): its columns are standardised in place
-    and its ``_GeneFactors`` computed, so a constant or monomorphic column is
-    refused, naming the panel column, before any permutation is drawn.  The
-    chunk then draws the shared permutations itself, from the same stream,
-    in slabs of ``_slab_width(n)`` columns, and scores each slab with one
-    product rho = Z' Y, whose row slices are the genes' correlations; a
-    |rho| of 1 raises naming the panel column.  It holds one (n, slab)
-    block, Z and one (W, slab) product, whatever n_perms is.
+    (n, W) block Z, so a SNP in two genes appears twice, and prepares it
+    once, in place (``_prepared_block``): a constant or monomorphic column
+    is refused, naming the panel column, before any permutation is drawn.
+    Each gene's observed statistic comes from one product of its own columns
+    with the unit response, so it depends on those columns and y alone,
+    whatever the chunk or the worker count, and equals
+    ``gene_set_statistics``.  The chunk then draws the shared permutations
+    itself, in slabs of ``_slab_width(n)`` columns, and scores each slab
+    with one product rho = Z' Y; a |rho| of 1 raises naming the panel
+    column.  It holds one (n, slab) block, Z and one (W, slab) product,
+    whatever n_perms is.
 
     A permuted statistic t reaches the observed t0 when
     t >= t0 - _TIE_RTOL * max(1, |t0|).  On case/control panels many
@@ -586,40 +601,25 @@ def _gene_chunk(X: np.ndarray, y: np.ndarray, n_perms: int, seed: int, gene_slic
     ends = np.cumsum([g.size for g in genes])
     spans = [slice(end - g.size, end) for g, end in zip(genes, ends)]
     n = y.size
-    Z = X[:, cols]  # one gathered copy, each gene's columns standardised in place
-    factors = []
-    for g, s in zip(genes, spans):
-        with _panel_columns(g):
-            Zg = Z[:, s]
-            factors.append(_prepared_gene(Zg, trait_kind, fs, out=Zg)[1])
-    observed = {name: np.empty(len(genes)) for name in needs}
+    u = _unit_response(y)
+    Z = X[:, cols]  # one gathered copy, standardised in place
     exceed = {name: np.zeros(len(genes), dtype=np.int64) for name in needs}
-    first = True
-    for Y in _permutation_slabs(y, n_perms, seed, _slab_width(n)):
-        rho = _correlations(Z, Y)
-        del Y  # so that the next slab is drawn with this one freed
-        for g, s in enumerate(spans):
-            with _panel_columns(genes[g]):
-                stats = _gene_stats(rho[s], n, factors[g], fs)
-            for name in needs:
-                col = stats[name]
-                if first:
-                    observed[name][g] = col[0]
-                    col = col[1:]
-                t0 = observed[name][g]
-                exceed[name][g] += np.count_nonzero(col >= t0 - _TIE_RTOL * max(1.0, abs(t0)))
-        first = False
-    return observed, exceed
-
-
-@contextmanager
-def _panel_columns(cols: np.ndarray):
-    """Re-raise a column error of a gene under the panel column, cols[index],
-    that its position in the gene stands for."""
     try:
-        yield
+        block = _prepared_block(Z, spans, trait_kind, fs, out=Z)
+        rho = np.concatenate([_correlations(Z[:, s], u[:, None]) for s in spans])
+        stats = _block_stats(block, rho, n, fs)
+        observed = {name: stats[name][:, 0] for name in needs}
+        reach = {name: t0 - _TIE_RTOL * np.maximum(1.0, np.abs(t0)) for name, t0 in observed.items()}
+        for Y in _permutation_slabs(u, n_perms, seed, _slab_width(n), False):
+            rho = _correlations(Z, Y)
+            del Y  # freed before the product is scored and the next slab drawn
+            for name, permuted in _block_stats(block, rho, n, fs).items():
+                exceed[name] += np.count_nonzero(permuted >= reach[name][:, None], axis=1)
+            del rho, permuted  # so that the next product is taken with these freed
     except (ConstantColumnError, MonomorphicColumnError, DegenerateCorrelationError) as e:
+        # re-raised under the panel column that its position in Z stands for
         raise type(e)(int(cols[e.index])) from None
+    return observed, exceed
 
 
 def _gene_columns(genes: Sequence[tuple[str, Sequence[int]]],

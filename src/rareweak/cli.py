@@ -438,9 +438,6 @@ class GeneMap:
     genes: tuple[tuple[str, tuple[int, ...]], ...]
     skipped: tuple[tuple[str, str], ...]   # (gene, snp id dropped by QC)
 
-    def as_sequences(self) -> list[tuple[str, np.ndarray]]:
-        return [(g, np.asarray(idx, dtype=np.int64)) for g, idx in self.genes]
-
 
 def load_gene_map(path: str, kept_ids: Sequence[str],
                   all_ids: Sequence[str] | None = None) -> GeneMap:
@@ -551,12 +548,6 @@ def _resolve_workers(cfg: Config, override: int | None) -> int:
         return max(1, override)
     if cfg.has("execution.workers"):
         return max(1, cfg.get("execution.workers"))
-    env = os.environ.get("RAREWEAK_WORKERS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"RAREWEAK_WORKERS must be an integer, got {env!r}") from None
     return 1
 
 
@@ -692,12 +683,12 @@ def _cmd_score(cfg: Config, out_dir: Path, seed: int, workers: int) -> list[Path
                  for j, snp in enumerate(loaded.snp_ids)]
     if cfg.has("io.gene_map"):
         gm = load_gene_map(cfg.get("io.gene_map"), loaded.snp_ids, loaded.report.snps)
-        gene_list = gm.as_sequences()
+        gene_list = gm.genes
     else:
-        gene_list = [("all", np.arange(loaded.matrix.n_snps, dtype=np.int64))]
+        gene_list = [("all", range(loaded.matrix.n_snps))]
     stats = gene_set_statistics(gene_list, loaded.matrix, pheno,
                                 _methods_from_cfg(cfg, trait_kind))
-    rows = [[name, idx.size] + [float(stats[m][gi]) for m in stats]
+    rows = [[name, len(idx)] + [float(stats[m][gi]) for m in stats]
             for gi, (name, idx) in enumerate(gene_list)]
     header = ["gene", "snps"] + [f"stat_{m}" for m in stats]
     meta = _meta("score", cfg, seed, workers)
@@ -738,7 +729,7 @@ def _cmd_rank(cfg: Config, out_dir: Path, seed: int, workers: int) -> list[Path]
     loaded, pheno, trait_kind = _load_panel(cfg)
     gm = load_gene_map(cfg.get("io.gene_map"), loaded.snp_ids, loaded.report.snps)
     methods = _methods_from_cfg(cfg, trait_kind)
-    ranking = rank_gene_sets(gm.as_sequences(), loaded.matrix, pheno, methods,
+    ranking = rank_gene_sets(gm.genes, loaded.matrix, pheno, methods,
                              n_perms=cfg.get("execution.n_perms", "10000"),
                              seed=seed, workers=workers)
     targets = cfg.get_optional("rank.target_genes")
@@ -797,7 +788,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--config", required=True, help="flat key=value config file")
     parser.add_argument("--seed", type=int, default=None, help="override execution.seed")
     parser.add_argument("--workers", type=int, default=None,
-                        help="override execution.workers (or RAREWEAK_WORKERS)")
+                        help="override execution.workers (default 1)")
     parser.add_argument("--out", default=None, help="output directory (default io.out or .)")
     args = parser.parse_args(argv)
 

@@ -506,23 +506,17 @@ def _trait_noise(sigma: float, seed: int, n: int) -> np.ndarray:
 
 def simulate_case_control(q, ld, signal: SignalConfig, beta0: float,
                           n_case: int, n_control: int, seed: int,
-                          L: int | None = None,
                           stall_after: int = 4_194_304) -> tuple[GenotypeMatrix, Phenotype]:
     """Retrospective case/control panel under a logistic disease model.
 
-    Population genotype rows are drawn in batches of 2048, one panel each;
-    each row becomes a case with probability expit(beta0 + x . beta) and is
-    kept while its group's quota is open.  Raises ``QuotaStallError`` when
-    ``stall_after`` rows have been drawn and an unfilled group's acceptance
-    rate sits below 1e-6.
+    The panel has ``signal.L`` columns.  Population genotype rows are drawn
+    in batches of 2048, one panel each; each row becomes a case with
+    probability expit(beta0 + x . beta) and is kept while its group's quota
+    is open.  Raises ``QuotaStallError`` when ``stall_after`` rows have been
+    drawn and an unfilled group's acceptance rate sits below 1e-6.
     """
     if n_case < 1 or n_control < 1:
         raise EmptyGroupError(f"need positive quotas, got {n_case} / {n_control}")
-    if L is None:
-        L = signal.L
-    if signal.L != L:
-        raise DimensionMismatchError(f"signal is for L={signal.L}, panel has {L}")
-
     cases: list[np.ndarray] = []
     controls: list[np.ndarray] = []
     got_case = got_control = 0
@@ -530,7 +524,7 @@ def simulate_case_control(q, ld, signal: SignalConfig, beta0: float,
     b = 0
     while got_case < n_case or got_control < n_control:
         child = derive_seed(seed, TAG_CASE_CONTROL, b)
-        Xb = simulate_genotypes(2048, q, ld, seed=child, L=L).entries
+        Xb = simulate_genotypes(2048, q, ld, seed=child, L=signal.L).entries
         u = substream(child, TAG_TRAIT).random(Xb.shape[0])
         is_case = u < expit(beta0 + Xb @ signal.beta)
         if got_case < n_case:

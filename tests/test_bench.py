@@ -234,6 +234,12 @@ def test_gene_columns_are_checked_before_any_draw_naming_the_panel_column(no_per
     with pytest.raises(MonomorphicColumnError) as err:
         rank_gene_sets(genes, monomorphic, labels, ["HC"], n_perms=100, seed=1)
     assert err.value.index == 7
+    # a chunk checks its whole block at once, a binary panel's frequencies
+    # before its spreads: a monomorphic column in a later gene comes first
+    monomorphic[:, 1] = 1.0
+    with pytest.raises(MonomorphicColumnError) as err:
+        rank_gene_sets(genes, monomorphic, labels, ["HC"], n_perms=100, seed=1)
+    assert err.value.index == 7
 
 
 def collinear_panel():
@@ -261,7 +267,7 @@ def test_a_response_collinear_with_a_column_raises_naming_it(methods):
         marginal_stats(X, y, "t")
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("trait_kind", ["quantitative", "binary"])
 def test_overlapping_genes_out_of_order_match_the_per_gene_kernel(trait_kind, workers):
     # columns 2 and 3 sit in two genes each, and the gene map is neither in
@@ -277,10 +283,14 @@ def test_overlapping_genes_out_of_order_match_the_per_gene_kernel(trait_kind, wo
     chunks = bench._run_chunked(bench._gene_chunk, len(names), workers, Xa, yv, n_perms, seed,
                                 slices, kind, needs)
     Y = bench._permuted_responses(yv, n_perms, seed)
+    scored = gene_set_statistics(genes, X, y, needs)
+    assert list(scored) == list(needs)  # ``score`` writes its columns in this order
     for gi, (_, idx) in enumerate(genes):
         per_gene = _stats_for_columns(Xa[:, np.sort(idx)], Y, kind, frozenset(needs))
         for m in needs:
             observed, exceed = (np.concatenate([c[k][m] for c in chunks])[gi] for k in (0, 1))
+            # bit for bit what ``score`` writes, whatever chunk the gene is in
+            assert observed == scored[m][gi], (m, gi)
             t0 = per_gene[m][0]
             assert observed == pytest.approx(t0, rel=1e-12, abs=0.0), (m, gi)
             # the same exceedance count, so the same p-value
@@ -614,8 +624,9 @@ def test_no_kernel_call_sees_more_than_one_slab(monkeypatch):
     monkeypatch.setattr(bench, "_correlations", recorder)
     genes = [("a", [0, 1, 2, 3]), ("b", [4, 5, 6, 7])]
     rank_gene_sets(genes, X, y, ["HC", "QT"], n_perms=10_000, seed=3)
-    # one product per slab scores every gene of the chunk
-    assert max(seen) <= width and sum(seen) == 10_001
+    # one product per slab scores every gene of the chunk, and one width-1
+    # product per gene its observed statistic
+    assert max(seen) <= width and sum(seen) == 10_000 + len(genes)
     seen.clear()
     permutation_cutoff("LCT", X, y, n_perms=10_000, level=0.05, seed=3)
     assert max(seen) <= width and sum(seen) == 10_001

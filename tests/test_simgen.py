@@ -483,7 +483,7 @@ def test_quantitative_determinism():
 def test_case_control_quotas_and_stacking():
     cfg = _flat_signal(6, [1], 0.3)
     X, y = simulate_case_control(0.4, LdSpec.identity(), cfg, beta0=-2.0,
-                                 n_case=120, n_control=80, seed=51, L=6)
+                                 n_case=120, n_control=80, seed=51)
     assert X.n == 200 and y.n_case == 120 and y.n_control == 80
     np.testing.assert_array_equal(y.values[:120], 1.0)
     np.testing.assert_array_equal(y.values[120:], 0.0)
@@ -492,7 +492,7 @@ def test_case_control_quotas_and_stacking():
 def test_case_control_null_frequencies_match():
     cfg = _flat_signal(5, [0], 0.0)
     X, y = simulate_case_control(0.4, LdSpec.identity(), cfg, beta0=-2.0,
-                                 n_case=1000, n_control=1000, seed=61, L=5)
+                                 n_case=1000, n_control=1000, seed=61)
     case_maf = X.entries[y.values == 1.0].mean() / 2.0
     ctl_maf = X.entries[y.values == 0.0].mean() / 2.0
     assert abs(case_maf - ctl_maf) < 0.02
@@ -503,7 +503,7 @@ def test_case_control_signal_raises_case_frequency():
     wins = 0
     for rep in range(100):
         X, y = simulate_case_control(0.4, LdSpec.identity(), cfg, beta0=-2.0,
-                                     n_case=300, n_control=300, seed=1000 + rep, L=10)
+                                     n_case=300, n_control=300, seed=1000 + rep)
         sig = X.entries[:, cfg.support]
         case_maf = sig[y.values == 1.0].mean() / 2.0
         ctl_maf = sig[y.values == 0.0].mean() / 2.0
@@ -515,15 +515,15 @@ def test_case_control_stalls_on_hopeless_intercept():
     cfg = _flat_signal(4, [0], 0.1)
     with pytest.raises(QuotaStallError):
         simulate_case_control(0.4, LdSpec.identity(), cfg, beta0=-40.0,
-                              n_case=10, n_control=10, seed=71, L=4,
+                              n_case=10, n_control=10, seed=71,
                               stall_after=5000)
 
 
 def test_case_control_determinism():
     cfg = _flat_signal(5, [1], 0.2)
     a = simulate_case_control(0.4, LdSpec.toeplitz(0.25), cfg, beta0=-2.0,
-                              n_case=50, n_control=50, seed=81, L=5)
+                              n_case=50, n_control=50, seed=81)
     b = simulate_case_control(0.4, LdSpec.toeplitz(0.25), cfg, beta0=-2.0,
-                              n_case=50, n_control=50, seed=81, L=5)
+                              n_case=50, n_control=50, seed=81)
     np.testing.assert_array_equal(a[0].entries, b[0].entries)
     np.testing.assert_array_equal(a[1].values, b[1].values)
