@@ -33,13 +33,18 @@ before any permutation is drawn.
 
 ``_permutation_slabs`` is the one place permutations are drawn.  It permutes
 the response's unit form (``core_stats._unit_response``), which a permutation
-keeps centred with unit norm, so no block is centred again.  Power replicates
-and FDR simulations take all of theirs as one block
-(``_permuted_responses``), while ``permutation_cutoff`` and gene ranking
-stream them in slabs of ``_slab_width(n)`` columns, a fixed byte budget, so
-their memory is n x slab whatever the permutation count.  Ranking scores
-each gene's observed statistic on its own first, then keeps only a running
-count of the permuted statistics that reach it.
+keeps centred with unit norm, so no block is centred again.  Every driver
+reads them in slabs of ``_slab_width(n)`` columns, a fixed byte budget, so
+its memory is n x slab whatever the permutation count: power replicates,
+``permutation_cutoff`` and gene ranking; an FDR simulation's two columns
+(the response and one permutation) are one slab.  Ranking scores each
+gene's observed statistic on its own first, then keeps only a running count
+of the permuted statistics that reach it.
+
+Marginal scores reach HC, HCm and DT on the N(0, 1) scale: their p-values
+are the two-sided normal tail, t scores included, which permutation
+calibration absorbs (``core_stats.marginal_stats`` alone reads t scores on
+the t(n - 2) scale).
 
 Replicates draw fresh genotypes and fresh signal placements, all in
 ``_draw_replicate``, which ``rareweak simulate`` calls too, so that it
@@ -282,12 +287,6 @@ def _permutation_slabs(u: np.ndarray, n_perms: int, seed: int, width: int, lead:
         yield slab(start)  # never bound here: the caller's reference is the only one
 
 
-def _permuted_responses(y: np.ndarray, n_perms: int, seed: int) -> np.ndarray:
-    """(n, 1 + n_perms) matrix: y's unit response, then n_perms permutations
-    of it from the permutation stream of ``seed``; the single-slab draw."""
-    return next(_permutation_slabs(_unit_response(y), n_perms, seed, 1 + n_perms, True))
-
-
 def _draw_replicate(scenario: Scenario, seed: int) -> tuple[GenotypeMatrix, Phenotype, SignalConfig]:
     """The panel, response and signal of one replicate of ``scenario``,
     drawn from ``seed``: what a power replicate scores and what
@@ -306,11 +305,17 @@ def _replicate_stats(scenario: Scenario, needs: frozenset[str], rep_seed: int,
     """Observed-plus-permuted statistics for one replicate.
 
     Column 0 of each returned array is the observed statistic; columns
-    1..n_perms come from permuted responses.
+    1..n_perms come from permuted responses, scored slab by slab, so a
+    replicate holds one (n, _slab_width(n)) block.  A slab's statistics do
+    not depend on its width, except that a trailing slab of one column is
+    scored by a matrix-vector product, whose rounding can differ in the last
+    bits (one null moved by 1.6e-14 relative in a probe).
     """
     X, y, _ = _draw_replicate(scenario, rep_seed)
-    Y = _permuted_responses(y.values, n_perms, rep_seed)
-    return _stats_for_columns(X.entries, Y, scenario.trait_kind, needs)
+    slabs = _permutation_slabs(_unit_response(y.values), n_perms, rep_seed,
+                               _slab_width(y.n), True)
+    stats = [_stats_for_columns(X.entries, Y, scenario.trait_kind, needs) for Y in slabs]
+    return {name: np.concatenate([s[name] for s in stats]) for name in needs}
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +487,7 @@ def _fdr_chunk(scenario: Scenario, needs: tuple[str, ...], seed: int,
         for Xg, gene_seed in zip(signal_panels, gene_seeds):
             genetic += Xg @ scenario.signal(gene_seed).beta
         y = genetic + _trait_noise(scenario.trait.sigma, rep_seed, scenario.n)
-        Y = _permuted_responses(y, 1, rep_seed)
+        Y = next(_permutation_slabs(_unit_response(y), 1, rep_seed, 2, True))
         for g, Xg in enumerate(chain(signal_panels, panels)):
             stats = _stats_for_columns(Xg, Y, "quantitative", fs)
             for name in needs:

@@ -14,12 +14,15 @@ Configs are flat ``key=value`` text with dotted keys and ``#`` comments:
     scenario.r=0.4,0.65,0.9
     execution.n_sims=500
 
-Unknown keys are rejected.  Every artifact ``name.csv`` gets a
-``name.meta.json`` sidecar holding the fully-resolved config, seed, RNG
+Unknown keys are rejected.  Subcommands compute and return their CSV texts;
+``run`` writes them.  It builds one sidecar per run, and every artifact
+``name.csv`` gets it as ``name.meta.json``, identical but for ``artifact``:
+the fully-resolved config (seed and worker overrides included), seed, RNG
 algorithm, stream version (``rng_streams``) and environment (Python, NumPy,
-SciPy, BLAS, cores), so a run can be reproduced from its outputs alone.  Exit codes: 0 ok, 2 config error
-(including an output directory that cannot be written), 3 data error,
-4 numeric failure (including a LAPACK error or running out of memory).
+SciPy, BLAS, cores), so a run can be reproduced from its outputs alone.
+Exit codes: 0 ok, 2 config error (including an output directory that cannot
+be written), 3 data error, 4 numeric failure (including a LAPACK error or
+running out of memory).
 """
 
 from __future__ import annotations
@@ -436,24 +439,21 @@ class GeneMap:
     """Ordered gene -> column-index mapping over a loaded panel."""
 
     genes: tuple[tuple[str, tuple[int, ...]], ...]
-    skipped: tuple[tuple[str, str], ...]   # (gene, snp id dropped by QC)
 
 
-def load_gene_map(path: str, kept_ids: Sequence[str],
-                  all_ids: Sequence[str] | None = None) -> GeneMap:
+def load_gene_map(path: str, kept_ids: Sequence[str], all_ids: Sequence[str]) -> GeneMap:
     """Read a two-column (gene, snp) CSV and join it to kept panel columns.
 
-    Ids absent from the original header are errors; ids dropped by quality
-    control are skipped with a log line.  A SNP may belong to one gene only,
-    and a gene whose SNPs were all dropped is an error.
+    Ids absent from the original header (``all_ids``) are errors; ids dropped
+    by quality control are skipped with a log line.  A SNP may belong to one
+    gene only, and a gene whose SNPs were all dropped is an error.
     """
     col_of = {snp: j for j, snp in enumerate(kept_ids)}
-    known = set(all_ids) if all_ids is not None else set(kept_ids)
+    known = set(all_ids)
     order: list[str] = []
     members: dict[str, list[int]] = {}
     seen_pairs: set[tuple[str, str]] = set()
     owner: dict[str, str] = {}
-    skipped: list[tuple[str, str]] = []
     with _csv_records(path, "gene map") as (header, records):
         if [h.strip().lower() for h in header] != ["gene", "snp"]:
             raise MalformedCsvError(str(path), 1, f"{path}:1: header must be gene,snp")
@@ -479,13 +479,11 @@ def load_gene_map(path: str, kept_ids: Sequence[str],
             if snp in col_of:
                 members[gene].append(col_of[snp])
             else:
-                skipped.append((gene, snp))
                 logger.info("gene map: %s/%s dropped by QC, skipping", gene, snp)
     for gene in order:
         if not members[gene]:
             raise EmptyGeneError(gene, f"{path}: gene {gene!r} has no surviving SNPs")
-    return GeneMap(genes=tuple((g, tuple(members[g])) for g in order),
-                   skipped=tuple(skipped))
+    return GeneMap(genes=tuple((g, tuple(members[g])) for g in order))
 
 
 # ---------------------------------------------------------------------------
@@ -493,17 +491,14 @@ def load_gene_map(path: str, kept_ids: Sequence[str],
 
 
 def _write_artifact(out_dir: Path, name: str, text: str, meta: dict) -> Path:
+    """Write ``name.csv`` holding text, and ``name.meta.json`` holding the
+    run's sidecar ``meta`` plus the CSV's file name as ``artifact``."""
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{name}.csv"
     csv_path.write_text(text, encoding="utf-8")
-    sidecar = dict(meta)
-    sidecar["artifact"] = csv_path.name
-    sidecar["rng"] = RNG_ALGORITHM
-    sidecar["rng_streams"] = RNG_STREAMS
-    sidecar["version"] = __version__
-    sidecar["env"] = _environment()
     (out_dir / f"{name}.meta.json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        json.dumps({**meta, "artifact": csv_path.name}, indent=2, sort_keys=True) + "\n",
+        encoding="utf-8")
     logger.info("wrote %s", csv_path)
     return csv_path
 
@@ -531,12 +526,6 @@ def _environment() -> dict:
         "blas_threads": {**{k: os.environ.get(k) for k in BLAS_THREAD_VARS},
                          "in_effect": 1 if blas_managed() else "unmanaged"},
     }
-
-
-def _meta(command: str, cfg: Config, seed: int, workers: int) -> dict:
-    # built after the last cfg.get, so that the config holds every default read
-    return {"command": command, "config": dict(sorted({**cfg.defaults, **cfg.raw}.items())),
-            "seed": seed, "workers": workers}
 
 
 # ---------------------------------------------------------------------------
@@ -618,10 +607,11 @@ def _methods_from_cfg(cfg: Config, trait_kind: str, default: str | None = None) 
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each computes, and returns its CSV texts by artifact name with
+# the fields it adds to the run's sidecar; ``run`` writes them
 
 
-def _cmd_boundary(cfg: Config, out_dir: Path, seed: int, workers: int) -> list[Path]:
+def _cmd_boundary(cfg: Config, seed: int, workers: int) -> tuple[dict[str, str], dict]:
     alphas = cfg.get("boundary.alphas", "0.51:0.99:49")
     if any(not 0.5 < a < 1.0 for a in alphas):
         raise ConfigError("boundary.alphas entries must lie in (0.5, 1)")
@@ -636,11 +626,10 @@ def _cmd_boundary(cfg: Config, out_dir: Path, seed: int, workers: int) -> list[P
     for mode in modes:
         curve = boundary_curve(alphas, mode, scn)
         rows += [(a, r, b, h, mode) for a, r, b, h in curve.rows()]
-    text = csv_text(("alpha", "r", "beta", "heritability", "mode"), rows)
-    return [_write_artifact(out_dir, "boundary", text, _meta("boundary", cfg, seed, workers))]
+    return {"boundary": csv_text(("alpha", "r", "beta", "heritability", "mode"), rows)}, {}
 
 
-def _cmd_simulate(cfg: Config, out_dir: Path, seed: int, workers: int) -> list[Path]:
+def _cmd_simulate(cfg: Config, seed: int, workers: int) -> tuple[dict[str, str], dict]:
     scenarios = _scenarios_from_cfg(cfg)
     if len(scenarios) != 1:
         raise ConfigError("simulate wants exactly one scenario; "
@@ -648,16 +637,10 @@ def _cmd_simulate(cfg: Config, out_dir: Path, seed: int, workers: int) -> list[P
     X, y, signal = _draw_replicate(scenarios[0], seed)
     ids = [f"snp_{j + 1}" for j in range(X.n_snps)]
     geno_rows = [[int(v) for v in row] for row in X.entries]
-    meta = _meta("simulate", cfg, seed, workers)
-    meta["signal"] = {"support": [int(j) for j in signal.support],
-                      "beta": [float(signal.beta[j]) for j in signal.support]}
-    out = [
-        _write_artifact(out_dir, "genotypes", csv_text(ids, geno_rows), meta),
-        _write_artifact(out_dir, "phenotype",
-                        csv_text(("phenotype",),
-                                 [[float(v)] for v in y.values]), meta),
-    ]
-    return out
+    texts = {"genotypes": csv_text(ids, geno_rows),
+             "phenotype": csv_text(("phenotype",), [[float(v)] for v in y.values])}
+    return texts, {"signal": {"support": [int(j) for j in signal.support],
+                              "beta": [float(signal.beta[j]) for j in signal.support]}}
 
 
 def _load_panel(cfg: Config) -> tuple[LoadedGenotypes, Phenotype, str]:
@@ -675,7 +658,7 @@ def _load_panel(cfg: Config) -> tuple[LoadedGenotypes, Phenotype, str]:
     return loaded, pheno, trait_kind
 
 
-def _cmd_score(cfg: Config, out_dir: Path, seed: int, workers: int) -> list[Path]:
+def _cmd_score(cfg: Config, seed: int, workers: int) -> tuple[dict[str, str], dict]:
     loaded, pheno, trait_kind = _load_panel(cfg)
     stat_kind = "t" if trait_kind == "quantitative" else "d"
     marg = marginal_stats(loaded.matrix, pheno, stat_kind)
@@ -691,14 +674,12 @@ def _cmd_score(cfg: Config, out_dir: Path, seed: int, workers: int) -> list[Path
     rows = [[name, len(idx)] + [float(stats[m][gi]) for m in stats]
             for gi, (name, idx) in enumerate(gene_list)]
     header = ["gene", "snps"] + [f"stat_{m}" for m in stats]
-    meta = _meta("score", cfg, seed, workers)
-    return [_write_artifact(out_dir, "marginals",
-                            csv_text(("snp", "statistic", "pvalue"), marg_rows), meta),
-            _write_artifact(out_dir, "set_statistics", csv_text(header, rows), meta),
-            _write_artifact(out_dir, "ingest", loaded.report.csv(), meta)]
+    return {"marginals": csv_text(("snp", "statistic", "pvalue"), marg_rows),
+            "set_statistics": csv_text(header, rows),
+            "ingest": loaded.report.csv()}, {}
 
 
-def _cmd_power(cfg: Config, out_dir: Path, seed: int, workers: int) -> list[Path]:
+def _cmd_power(cfg: Config, seed: int, workers: int) -> tuple[dict[str, str], dict]:
     scenarios = _scenarios_from_cfg(cfg)
     methods = _methods_from_cfg(cfg, scenarios[0].trait_kind)
     n_sims = cfg.get("execution.n_sims")
@@ -708,11 +689,10 @@ def _cmd_power(cfg: Config, out_dir: Path, seed: int, workers: int) -> list[Path
     for sc in scenarios:
         results += list(empirical_power(methods, sc, n_sims=n_sims, level=level,
                                         seed=seed, perms_per_sim=perms, workers=workers))
-    return [_write_artifact(out_dir, "power", power_table_csv(results),
-                            _meta("power", cfg, seed, workers))]
+    return {"power": power_table_csv(results)}, {}
 
 
-def _cmd_fdr(cfg: Config, out_dir: Path, seed: int, workers: int) -> list[Path]:
+def _cmd_fdr(cfg: Config, seed: int, workers: int) -> tuple[dict[str, str], dict]:
     scenarios = _scenarios_from_cfg(cfg)
     methods = _methods_from_cfg(cfg, scenarios[0].trait_kind, default="HC")
     curves = [fdr_curve(methods, sc, levels=cfg.get("fdr.levels", "0.02,0.05,0.1,0.15,0.2"),
@@ -721,30 +701,26 @@ def _cmd_fdr(cfg: Config, out_dir: Path, seed: int, workers: int) -> list[Path]:
                         n_signal_genes=cfg.get("fdr.n_signal_genes"),
                         seed=seed, workers=workers)
               for sc in scenarios]
-    return [_write_artifact(out_dir, "fdr", fdr_table_csv(curves),
-                            _meta("fdr", cfg, seed, workers))]
+    return {"fdr": fdr_table_csv(curves)}, {}
 
 
-def _cmd_rank(cfg: Config, out_dir: Path, seed: int, workers: int) -> list[Path]:
+def _cmd_rank(cfg: Config, seed: int, workers: int) -> tuple[dict[str, str], dict]:
     loaded, pheno, trait_kind = _load_panel(cfg)
     gm = load_gene_map(cfg.get("io.gene_map"), loaded.snp_ids, loaded.report.snps)
     methods = _methods_from_cfg(cfg, trait_kind)
     ranking = rank_gene_sets(gm.genes, loaded.matrix, pheno, methods,
                              n_perms=cfg.get("execution.n_perms", "10000"),
                              seed=seed, workers=workers)
+    texts = {"rank": ranking_csv(ranking), "ingest": loaded.report.csv()}
     targets = cfg.get_optional("rank.target_genes")
-    meta = _meta("rank", cfg, seed, workers)
-    artifacts = [_write_artifact(out_dir, "rank", ranking_csv(ranking), meta),
-                 _write_artifact(out_dir, "ingest", loaded.report.csv(), meta)]
     if targets:
         averages = ranking.average_ranks(targets)
         rows = [(m, averages[m], len(targets)) for m in ranking.methods]
-        artifacts.append(_write_artifact(out_dir, "rank_average",
-                                         csv_text(("method", "mean_rank", "n_genes"), rows), meta))
-    return artifacts
+        texts["rank_average"] = csv_text(("method", "mean_rank", "n_genes"), rows)
+    return texts, {}
 
 
-_COMMANDS: dict[str, Callable[[Config, Path, int, int], list[Path]]] = {
+_COMMANDS: dict[str, Callable[[Config, int, int], tuple[dict[str, str], dict]]] = {
     "boundary": _cmd_boundary,
     "simulate": _cmd_simulate,
     "score": _cmd_score,
@@ -756,19 +732,24 @@ _COMMANDS: dict[str, Callable[[Config, Path, int, int], list[Path]]] = {
 
 def run(command: str, cfg: Config, out_dir: str | Path = ".",
         seed: int | None = None, workers: int | None = None) -> list[Path]:
-    """Execute one subcommand against a parsed config; returns artifact paths."""
+    """Execute one subcommand against a parsed config, leaving the config as
+    given; writes each artifact with the run's one sidecar and returns their paths."""
     if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}; know {sorted(_COMMANDS)}")
     eff_seed = seed if seed is not None else cfg.get("execution.seed", "0")
     eff_workers = _resolve_workers(cfg, workers)
-    # overrides become part of the effective config so reruns from the
-    # sidecar reproduce the same artifacts
-    cfg.raw["execution.seed"] = str(eff_seed)
-    cfg.raw["execution.workers"] = str(eff_workers)
     # one BLAS thread, as in the Monte Carlo chunks, so that no artifact's
     # last digits depend on the host's thread count
     with one_thread():
-        return _COMMANDS[command](cfg, Path(out_dir), eff_seed, eff_workers)
+        texts, fields = _COMMANDS[command](cfg, eff_seed, eff_workers)
+    # after the command, so that the config holds every default it read; the
+    # overrides join it, so that a rerun from the sidecar reproduces the artifacts
+    config = {**cfg.defaults, **cfg.raw,
+              "execution.seed": str(eff_seed), "execution.workers": str(eff_workers)}
+    meta = {"command": command, "config": dict(sorted(config.items())),
+            "seed": eff_seed, "workers": eff_workers, "rng": RNG_ALGORITHM,
+            "rng_streams": RNG_STREAMS, "version": __version__, "env": _environment(), **fields}
+    return [_write_artifact(Path(out_dir), name, text, meta) for name, text in texts.items()]
 
 
 def _emit_error(exc: Exception, code: int):

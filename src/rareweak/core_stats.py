@@ -12,7 +12,10 @@ genotype panel to one score per column.  Four scores are provided:
 * ``case_control_zscores`` -- difference of per-group allele frequencies on
   the z scale, for binary traits.
 
-Scores are mapped to p-values by the two-sided standard normal tail.
+Scores are mapped to p-values by the two-sided standard normal tail
+(``pvalues_two_sided``), except in ``marginal_stats``, which reads a t
+score on the t(n - 2) scale.  The benchmark statistics (HC, HCm and DT in
+``bench``) read every score on the N(0, 1) scale, t scores included.
 
 Every score is read off one cross-product: ``_standardised`` centres the
 panel's columns and scales them to unit norm (Z), ``_unit_response`` does the
@@ -32,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import erfc, stdtr
 
 from .errors import (
     BadSampleSizeError,
@@ -134,7 +137,9 @@ class Phenotype:
 
 @dataclass(frozen=True)
 class MarginalStats:
-    """Per-column scores plus their two-sided normal p-values."""
+    """Per-column scores plus their two-sided p-values: the t(n - 2) tail for
+    kind ``t``, the standard normal tail for the other kinds.  HC, HCm and DT
+    in ``bench`` read scores on the N(0, 1) scale whatever their kind."""
 
     kind: StatKind
     values: np.ndarray
@@ -359,7 +364,8 @@ def pvalues_two_sided(stats) -> np.ndarray:
 
 
 def marginal_stats(X, y, kind: StatKind, sigma: float | None = None) -> MarginalStats:
-    """One-call bundle: scores of the requested kind plus their p-values."""
+    """One-call bundle: scores of the requested kind plus their p-values, from
+    the t(n - 2) tail for t scores and the normal tail for the others."""
     G = as_genotype_matrix(X)
     if kind == "r_sigma":
         if sigma is None:
@@ -369,6 +375,8 @@ def marginal_stats(X, y, kind: StatKind, sigma: float | None = None) -> Marginal
         values = zscores_from_correlation(marginal_correlations(G, y), G.n)
     elif kind == "t":
         values = tstats_from_correlation(marginal_correlations(G, y), G.n)
+        pvalues = np.maximum(2.0 * stdtr(G.n - 2.0, -np.abs(values)), P_FLOOR)
+        return MarginalStats(kind=kind, values=values, pvalues=pvalues)
     elif kind == "d":
         values = case_control_zscores(G, y)
     else:

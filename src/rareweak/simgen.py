@@ -36,7 +36,6 @@ from scipy.linalg import toeplitz as _toeplitz
 from scipy.special import expit, ndtr, ndtri, owens_t
 
 from ._rng import (
-    RNG_ALGORITHM,
     TAG_CASE_CONTROL,
     TAG_GENOTYPE,
     TAG_SIGNAL,
@@ -61,22 +60,6 @@ from .errors import (
     QuotaStallError,
     UnattainableError,
 )
-
-__all__ = [
-    "RNG_ALGORITHM",
-    "LdSpec",
-    "build_ld",
-    "six_toeplitz_designs",
-    "solve_latent_correlation",
-    "simulate_genotypes",
-    "CoefficientScheme",
-    "SignalConfig",
-    "draw_signal_config",
-    "TraitModel",
-    "simulate_quantitative",
-    "simulate_case_control",
-]
-
 
 # ---------------------------------------------------------------------------
 # linkage designs
@@ -504,15 +487,18 @@ def _trait_noise(sigma: float, seed: int, n: int) -> np.ndarray:
     return sigma * substream(seed, TAG_TRAIT).standard_normal(n)
 
 
+# population rows drawn before a case/control sampler checks for a stalled quota
+_STALL_AFTER = 4_194_304
+
+
 def simulate_case_control(q, ld, signal: SignalConfig, beta0: float,
-                          n_case: int, n_control: int, seed: int,
-                          stall_after: int = 4_194_304) -> tuple[GenotypeMatrix, Phenotype]:
+                          n_case: int, n_control: int, seed: int) -> tuple[GenotypeMatrix, Phenotype]:
     """Retrospective case/control panel under a logistic disease model.
 
     The panel has ``signal.L`` columns.  Population genotype rows are drawn
     in batches of 2048, one panel each; each row becomes a case with
     probability expit(beta0 + x . beta) and is kept while its group's quota
-    is open.  Raises ``QuotaStallError`` when ``stall_after`` rows have been
+    is open.  Raises ``QuotaStallError`` when ``_STALL_AFTER`` rows have been
     drawn and an unfilled group's acceptance rate sits below 1e-6.
     """
     if n_case < 1 or n_control < 1:
@@ -539,7 +525,7 @@ def simulate_case_control(q, ld, signal: SignalConfig, beta0: float,
                 got_control += take.shape[0]
         drawn += Xb.shape[0]
         b += 1
-        if drawn >= stall_after:
+        if drawn >= _STALL_AFTER:
             for label, got, need in (("case", got_case, n_case), ("control", got_control, n_control)):
                 if got < need and got / drawn < 1e-6:
                     raise QuotaStallError(

@@ -282,7 +282,7 @@ def test_overlapping_genes_out_of_order_match_the_per_gene_kernel(trait_kind, wo
     names, slices = bench._gene_columns(genes, Xa.shape[1])
     chunks = bench._run_chunked(bench._gene_chunk, len(names), workers, Xa, yv, n_perms, seed,
                                 slices, kind, needs)
-    Y = bench._permuted_responses(yv, n_perms, seed)
+    Y = next(bench._permutation_slabs(_unit_response(yv), n_perms, seed, 1 + n_perms, True))
     scored = gene_set_statistics(genes, X, y, needs)
     assert list(scored) == list(needs)  # ``score`` writes its columns in this order
     for gi, (_, idx) in enumerate(genes):
@@ -566,14 +566,18 @@ def pinned_panel():
     return X, y, labels
 
 
-# sha256 of ranking_csv on pinned_panel, and permutation_cutoff values, as
-# computed from one (n, 1 + n_perms) response block before ranking and the
-# cutoff were streamed in slabs
+# sha256 of ranking_csv on pinned_panel, permutation_cutoff values and the
+# power digests below, as computed from one (n, 1 + n_perms) response block
+# before ranking, the cutoff and power replicates were streamed in slabs
 PINNED_RANK_SHA256 = {
     "quantitative": "07ec5bb956c17cd1cc7f910cbee135acd58297684f34af77792d90dce5971d2f",
     "binary": "16648192600072cb436837427de4a8ba809f31bfb27767db41a169b4a9d20b0c",
 }
 PINNED_CUTOFF = {"quantitative": 25.90965505937148, "binary": 1.7383208161612385}
+PINNED_POWER_SHA256 = {
+    "quantitative": "03b2c52bd8806f1773c7e999b1456541c89378e165ebea0634f4e6ebd3abe925",
+    "binary": "75159dacde83707a76d95e9206edafee28961882e1400950a07b9051fb5da6e4",
+}
 
 
 def _pinned_inputs(trait_kind):
@@ -610,6 +614,29 @@ def test_streamed_cutoff_matches_the_pinned_block_result(monkeypatch, trait_kind
     assert cut == PINNED_CUTOFF[trait_kind]
 
 
+def pinned_power_scenario(trait_kind):
+    if trait_kind == "binary":
+        return Scenario(L=12, q=0.3, ld=LdSpec.identity(), trait=TraitModel.logistic(-1.0, 60, 90),
+                        n_signals=2, base_beta=0.5, scheme=CoefficientScheme.fixed())
+    return quick_scenario(L=12, n=150)
+
+
+# 21 responses per replicate: each width splits them with no one-column
+# slab, which a matrix-vector product would score with other rounding
+@pytest.mark.parametrize("width", [3, 7, 21])
+@pytest.mark.parametrize("trait_kind", ["quantitative", "binary"])
+def test_streamed_power_matches_the_pinned_block_result(monkeypatch, trait_kind, width):
+    _slab_columns(monkeypatch, 150, width)
+    methods = [m for m in METHOD_NAMES if MethodId(m).applicable_to(trait_kind)]
+    results = empirical_power(methods, pinned_power_scenario(trait_kind), n_sims=100,
+                              level=0.05, seed=9, perms_per_sim=20, retain=True)
+    digest = hashlib.sha256(power_table_csv(results).encode("utf-8"))
+    for res in results:
+        digest.update(res.observed.tobytes())
+        digest.update(res.nulls.tobytes())
+    assert digest.hexdigest() == PINNED_POWER_SHA256[trait_kind]
+
+
 def test_no_kernel_call_sees_more_than_one_slab(monkeypatch):
     X, y = rank_panel(seed=79, n=120, L=8)
     width = 700
@@ -630,6 +657,11 @@ def test_no_kernel_call_sees_more_than_one_slab(monkeypatch):
     seen.clear()
     permutation_cutoff("LCT", X, y, n_perms=10_000, level=0.05, seed=3)
     assert max(seen) <= width and sum(seen) == 10_001
+    # a power replicate whose 1 + P responses span two slabs
+    seen.clear()
+    empirical_power(["HC", "QT"], quick_scenario(L=8, n=120), n_sims=100, level=0.05,
+                    seed=3, perms_per_sim=1000)
+    assert max(seen) <= width and sum(seen) == 100 * 1001 and len(seen) == 200
 
 
 def test_slab_width_follows_the_byte_budget():

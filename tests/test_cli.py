@@ -357,16 +357,14 @@ def test_load_phenotype(tmp_path):
 
 def test_gene_map_joins_and_dedupes(tmp_path):
     p = write(tmp_path / "m.csv", "gene,snp\nG1,s1\nG1,s3\nG1,s1\nG2,s2\n")
-    gm = load_gene_map(p, kept_ids=("s1", "s2", "s3"))
+    gm = load_gene_map(p, kept_ids=("s1", "s2", "s3"), all_ids=("s1", "s2", "s3"))
     assert gm.genes == (("G1", (0, 2)), ("G2", (1,)))
-    assert gm.skipped == ()
 
 
 def test_gene_map_skips_qc_dropped_but_rejects_unknown(tmp_path):
     p = write(tmp_path / "m.csv", "gene,snp\nG1,s1\nG1,s2\n")
     gm = load_gene_map(p, kept_ids=("s1",), all_ids=("s1", "s2"))
     assert gm.genes == (("G1", (0,)),)
-    assert gm.skipped == (("G1", "s2"),)
     with pytest.raises(UnknownSnpIdError) as ei:
         load_gene_map(p, kept_ids=("s1",), all_ids=("s1",))
     assert ei.value.snp_id == "s2"
@@ -375,10 +373,10 @@ def test_gene_map_skips_qc_dropped_but_rejects_unknown(tmp_path):
 def test_gene_map_errors(tmp_path):
     p = write(tmp_path / "m.csv", "gene,snp\nG1,s1\nG2,s1\n")
     with pytest.raises(MalformedCsvError, match="assigned to both"):
-        load_gene_map(p, kept_ids=("s1",))
+        load_gene_map(p, kept_ids=("s1",), all_ids=("s1",))
     p = write(tmp_path / "h.csv", "gene,rsid\nG1,s1\n")
     with pytest.raises(MalformedCsvError, match="header must be gene,snp"):
-        load_gene_map(p, kept_ids=("s1",))
+        load_gene_map(p, kept_ids=("s1",), all_ids=("s1",))
     p = write(tmp_path / "e.csv", "gene,snp\nG1,s2\n")
     with pytest.raises(EmptyGeneError) as ei:
         load_gene_map(p, kept_ids=("s1",), all_ids=("s1", "s2"))
@@ -791,6 +789,32 @@ def test_every_sidecar_records_the_stream_version(tmp_path):
     for path in sidecars:
         meta = json.loads(path.read_text())
         assert meta["rng"] == "philox4x64" and meta["rng_streams"] == 2
+
+
+def test_run_leaves_the_config_it_is_given_unchanged(tmp_path):
+    cfg = load_config(simulate_cfg(tmp_path))
+    raw = dict(cfg.raw)
+    run("simulate", cfg, out_dir=tmp_path / "out", seed=11, workers=2)
+    assert cfg.raw == raw
+    # the overrides reach the sidecar's config, not the caller's
+    config = json.loads((tmp_path / "out" / "genotypes.meta.json").read_text())["config"]
+    assert config["execution.seed"] == "11" and config["execution.workers"] == "2"
+
+
+@pytest.mark.parametrize("command,targets,artifacts", [
+    ("score", "", ["marginals", "set_statistics", "ingest"]),
+    ("rank", "rank.target_genes = G1\n", ["rank", "ingest", "rank_average"]),
+])
+def test_the_sidecars_of_one_run_differ_only_in_artifact(tmp_path, command, targets, artifacts):
+    cfg = _panel_files(tmp_path, [f"{v:.6f}" for v in np.random.default_rng(3).normal(size=40)])
+    with open(cfg, "a", encoding="utf-8") as fh:
+        fh.write(targets)
+    paths = run(command, load_config(cfg), out_dir=tmp_path / "out", seed=4)
+    assert [p.name for p in paths] == [f"{a}.csv" for a in artifacts]
+    metas = [json.loads(p.with_suffix(".meta.json").read_text()) for p in paths]
+    assert [m.pop("artifact") for m in metas] == [p.name for p in paths]
+    assert all(m == metas[0] for m in metas)
+    assert metas[0]["command"] == command and metas[0]["seed"] == 4
 
 
 def test_latent_matrix_not_pd_exits_4_with_one_json_line(tmp_path, capsys):

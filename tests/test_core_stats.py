@@ -1,9 +1,9 @@
-"""Marginal association scores and their normal-tail p-values."""
+"""Marginal association scores and their two-sided p-values."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.stats import norm
+from scipy.stats import norm, t as t_dist
 
 from rareweak import (
     BadSampleSizeError,
@@ -256,10 +256,34 @@ def test_marginal_stats_bundles_pvalues():
     X, y = small_panel(n=120, L=5, seed=21)
     ms = marginal_stats(X, y, "t")
     assert ms.kind == "t"
-    np.testing.assert_allclose(ms.pvalues, pvalues_two_sided(ms.values), rtol=1e-13)
+    # a t score is read on the t(n - 2) scale, every other kind on the normal one
+    np.testing.assert_allclose(ms.pvalues, 2.0 * t_dist.sf(np.abs(ms.values), df=118), rtol=1e-12)
 
     ms2 = marginal_stats(X, y, "r_sigma", sigma=1.5)
     np.testing.assert_allclose(ms2.values, zscores_known_sigma(X, y, 1.5), rtol=1e-13)
+    ms3 = marginal_stats(X, y, "r")
+    np.testing.assert_allclose(ms3.pvalues, pvalues_two_sided(ms3.values), rtol=1e-13)
+
+
+def test_null_t_pvalues_are_calibrated_at_small_n():
+    # 60 null binomial(2, 0.3) panels of 20 samples x 400 columns, each with
+    # its own normal response: the t(18) tail gives exactly uniform p-values,
+    # while the normal tail put 0.35% of cells below 1e-3
+    rng = np.random.default_rng(0)
+    pvalues = np.concatenate([
+        marginal_stats(rng.binomial(2, 0.3, size=(20, 400)).astype(float),
+                       rng.standard_normal(20), "t").pvalues
+        for _ in range(60)])
+    rate, level = np.mean(pvalues < 1e-3), 1e-3
+    assert abs(rate - level) <= 3.0 * np.sqrt(level * (1.0 - level) / pvalues.size)
+
+
+def test_t_pvalues_share_the_floor():
+    # a response within 1e-6 of column 0: its t(58) tail underflows to 0
+    X, _ = small_panel(n=60, L=8, seed=5)
+    y = X[:, 0] + 1e-6 * np.random.default_rng(6).standard_normal(60)
+    p = marginal_stats(X, y, "t").pvalues
+    assert p[0] == 1e-300 and np.all(p[1:] > 1e-300)
 
 
 def test_genotype_matrix_validation():

@@ -511,12 +511,12 @@ def test_case_control_signal_raises_case_frequency():
     assert wins >= 95
 
 
-def test_case_control_stalls_on_hopeless_intercept():
+def test_case_control_stalls_on_hopeless_intercept(monkeypatch):
     cfg = _flat_signal(4, [0], 0.1)
+    monkeypatch.setattr(simgen, "_STALL_AFTER", 5000)
     with pytest.raises(QuotaStallError):
         simulate_case_control(0.4, LdSpec.identity(), cfg, beta0=-40.0,
-                              n_case=10, n_control=10, seed=71,
-                              stall_after=5000)
+                              n_case=10, n_control=10, seed=71)
 
 
 def test_case_control_determinism():
