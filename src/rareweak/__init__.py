@@ -18,12 +18,12 @@ from .bench import (
     FdrCurve,
     GeneRanking,
     METHOD_NAMES,
-    MethodId,
     Scenario,
     ScenarioResult,
     empirical_power,
     fdr_curve,
     fdr_table_csv,
+    methods_for,
     permutation_cutoff,
     power_table_csv,
     rank_gene_sets,
@@ -151,7 +151,7 @@ __all__ = [
     "draw_signal_config", "TraitModel", "simulate_quantitative",
     "simulate_case_control",
     # bench
-    "METHOD_NAMES", "MethodId", "Scenario", "ScenarioResult", "FdrCurve",
+    "METHOD_NAMES", "methods_for", "Scenario", "ScenarioResult", "FdrCurve",
     "GeneRanking", "permutation_cutoff", "empirical_power", "fdr_curve",
     "rank_gene_sets", "power_table_csv", "fdr_table_csv", "ranking_csv",
 ]

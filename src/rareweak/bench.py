@@ -15,7 +15,9 @@ permutation distribution.  The per-method statistics are
 * ``DT``   Fisher combination of the whitened scores' p-values;
 
 with Sigma the empirical column correlation of the *observed* panel, which
-permutations of the response leave untouched.
+permutations of the response leave untouched.  Methods are these names:
+``_as_methods`` checks a request once, and every kernel returns its
+statistics in the order asked for.
 
 No statistic is computed here.  The batched kernels of ``core_stats``
 (scores, p-values) and ``detectors`` (row-wise HC, correlation matrix, signed
@@ -95,30 +97,26 @@ from .simgen import CoefficientScheme, LdSpec, SignalConfig, TraitModel, _trait_
 METHOD_NAMES = ("HC", "HCm", "MinP", "LCT", "QT", "DT")
 
 
-@dataclass(frozen=True)
-class MethodId:
-    """One of the six benchmark methods, by name."""
-
-    name: str
-
-    def __post_init__(self):
-        if self.name not in METHOD_NAMES:
-            raise ConfigError(f"unknown method {self.name!r}; know {METHOD_NAMES}")
-
-    def applicable_to(self, trait_kind: str) -> bool:
-        # the correlation-score variant needs a quantitative response
-        return not (self.name == "HCm" and trait_kind == "binary")
+def methods_for(trait_kind: str) -> tuple[str, ...]:
+    """The benchmark methods that apply to a trait kind, in ``METHOD_NAMES`` order."""
+    # the correlation-score variant needs a quantitative response
+    return tuple(m for m in METHOD_NAMES if not (m == "HCm" and trait_kind == "binary"))
 
 
-def _as_methods(methods: Sequence[str | MethodId], trait_kind: str) -> tuple[MethodId, ...]:
-    out = tuple(m if isinstance(m, MethodId) else MethodId(str(m)) for m in methods)
+def _as_methods(methods: Sequence[str], trait_kind: str) -> tuple[str, ...]:
+    """The requested method names, checked, in request order."""
+    out = tuple(methods)
     if not out:
         raise ConfigError("no methods requested")
-    if len({m.name for m in out}) != len(out):
+    for name in out:
+        if name not in METHOD_NAMES:
+            raise ConfigError(f"unknown method {name!r}; know {METHOD_NAMES}")
+    if len(set(out)) != len(out):
         raise ConfigError("duplicate methods requested")
-    for m in out:
-        if not m.applicable_to(trait_kind):
-            raise ConfigError(f"method {m.name} is not applicable to {trait_kind} traits")
+    applicable = methods_for(trait_kind)
+    for name in out:
+        if name not in applicable:
+            raise ConfigError(f"method {name} is not applicable to {trait_kind} traits")
     return out
 
 
@@ -208,21 +206,22 @@ class _Block(NamedTuple):
 
 
 def _prepared_block(X: np.ndarray, spans: Sequence[slice], trait_kind: str,
-                    needs: frozenset[str], out: np.ndarray | None = None) -> _Block:
+                    needs: tuple[str, ...], out: np.ndarray | None = None) -> _Block:
     """The ``_Block`` of the genes whose columns of X ``spans`` mark, X
     standardised in one ``core_stats._prepared_panel`` call (into ``out``
     when given)."""
     Z, scale = _prepared_panel(X, trait_kind, out)
+    whitened = {"QT", "DT"}.intersection(needs)
     lct_norms, lows = [], []
     for s in spans:
-        sigma_hat = _correlation_matrix(Z[:, s]) if needs & {"LCT", "QT", "DT"} else None
+        sigma_hat = _correlation_matrix(Z[:, s]) if whitened or "LCT" in needs else None
         lct_norms.append(_lct_norm(sigma_hat) if "LCT" in needs else None)
-        lows.append(cholesky_lower(sigma_hat) if needs & {"QT", "DT"} else None)
+        lows.append(cholesky_lower(sigma_hat) if whitened else None)
     return _Block(Z, tuple(spans), scale, tuple(lct_norms), tuple(lows))
 
 
 def _block_stats(block: _Block, rho: np.ndarray, n: int,
-                 needs: frozenset[str]) -> dict[str, np.ndarray]:
+                 needs: tuple[str, ...]) -> dict[str, np.ndarray]:
     """Per requested method, the (genes, m) exceedance-oriented statistics of
     the block's genes from Z's (W, m) correlations with the responses: one
     score conversion for the whole block, then each gene's rows."""
@@ -238,14 +237,14 @@ def _block_stats(block: _Block, rho: np.ndarray, n: int,
             out["MinP"][g] = np.abs(gene_scores).max(axis=0)
         if "LCT" in needs:
             out["LCT"][g] = np.abs(_lct_columns(gene_scores, block.lct_norms[g]))
-        if needs & {"QT", "DT"}:
+        if block.lows[g] is not None:  # QT or DT requested
             for name, stat in _whitened_stats(gene_scores, block.lows[g], needs).items():
                 out[name][g] = stat
     return out
 
 
 def _stats_for_columns(X: np.ndarray, Y: np.ndarray, trait_kind: str,
-                       needs: frozenset[str]) -> dict[str, np.ndarray]:
+                       needs: tuple[str, ...]) -> dict[str, np.ndarray]:
     """Set-level statistics for every response column in Y.
 
     X is the (n, L) panel shared by all columns; Y is (n, m) unit responses
@@ -300,7 +299,7 @@ def _draw_replicate(scenario: Scenario, seed: int) -> tuple[GenotypeMatrix, Phen
     return X, y, signal
 
 
-def _replicate_stats(scenario: Scenario, needs: frozenset[str], rep_seed: int,
+def _replicate_stats(scenario: Scenario, needs: tuple[str, ...], rep_seed: int,
                      n_perms: int) -> dict[str, np.ndarray]:
     """Observed-plus-permuted statistics for one replicate.
 
@@ -337,7 +336,7 @@ def _check_level(level: float):
         raise ConfigError(f"level must lie in (0, 1), got {level!r}")
 
 
-def permutation_cutoff(method: str | MethodId, X, y, n_perms: int, level: float,
+def permutation_cutoff(method: str, X, y, n_perms: int, level: float,
                        seed: int) -> float:
     """Rejection cutoff for one method on one dataset from fresh permutations."""
     _check_level(level)
@@ -345,8 +344,8 @@ def permutation_cutoff(method: str | MethodId, X, y, n_perms: int, level: float,
         raise TooFewPermutationsError(
             f"need at least {int(np.ceil(20.0 / level))} permutations at level {level}, got {n_perms}")
     Xa, yv, kind = validated_inputs(X, y)
-    name = _as_methods([method], kind)[0].name
-    needs = frozenset({name})
+    needs = _as_methods([method], kind)
+    name = needs[0]
     with one_thread():
         block = _prepared_block(Xa, (slice(None),), kind, needs)
         # scored slab by slab: only the 1-D statistics are pooled
@@ -374,10 +373,9 @@ class ScenarioResult:
 
 def _power_chunk(scenario: Scenario, needs: tuple[str, ...], seed: int,
                  perms_per_sim: int, lo: int, hi: int) -> dict[str, np.ndarray]:
-    fs = frozenset(needs)
     stats = {name: np.empty((hi - lo, 1 + perms_per_sim)) for name in needs}
     for i in range(lo, hi):
-        rep = _replicate_stats(scenario, fs, derive_seed(seed, TAG_REPLICATE, i), perms_per_sim)
+        rep = _replicate_stats(scenario, needs, derive_seed(seed, TAG_REPLICATE, i), perms_per_sim)
         for name in needs:
             stats[name][i - lo] = rep[name]
     return stats
@@ -407,7 +405,7 @@ def _chunk_call(packed):
         return fn(*args, lo, hi)
 
 
-def empirical_power(methods: Sequence[str | MethodId], scenario: Scenario,
+def empirical_power(methods: Sequence[str], scenario: Scenario,
                     n_sims: int, level: float, seed: int, perms_per_sim: int = 1,
                     workers: int = 1, retain: bool = False) -> tuple[ScenarioResult, ...]:
     """Monte Carlo power with a shared permutation-calibrated cutoff.
@@ -422,22 +420,21 @@ def empirical_power(methods: Sequence[str | MethodId], scenario: Scenario,
         raise BadSampleSizeError(f"need n_sims >= 100, got {n_sims}")
     if perms_per_sim < 1:
         raise TooFewPermutationsError("need at least one permutation per simulation")
-    ms = _as_methods(methods, scenario.trait_kind)
+    needs = _as_methods(methods, scenario.trait_kind)
     pooled = n_sims * perms_per_sim
     if pooled < 20.0 / level:
         raise TooFewPermutationsError(
             f"pooled null sample {pooled} too small for level {level}")
 
-    needs = tuple(m.name for m in ms)
     chunks = _run_chunked(_power_chunk, n_sims, workers, scenario, needs, seed, perms_per_sim)
     results = []
-    for m in ms:
-        stacked = np.concatenate([c[m.name] for c in chunks], axis=0)
+    for name in needs:
+        stacked = np.concatenate([c[name] for c in chunks], axis=0)
         observed = stacked[:, 0]
         nulls = stacked[:, 1:].ravel()
         cutoff = _pooled_cutoff(nulls, level)
         results.append(ScenarioResult(
-            scenario=scenario, method=m.name, level=level, cutoff=cutoff,
+            scenario=scenario, method=name, level=level, cutoff=cutoff,
             power=float(np.mean(observed > cutoff)), n_sims=n_sims, n_perms=pooled,
             seed=seed, observed=observed if retain else None,
             nulls=nulls if retain else None))
@@ -475,7 +472,6 @@ def _fdr_chunk(scenario: Scenario, needs: tuple[str, ...], seed: int,
     are drawn lazily: the signal panels first, to build the response, and
     every other one when it is scored, so only the signal panels are held.
     """
-    fs = frozenset(needs)
     out = {name: np.empty((hi - lo, n_genes, 2)) for name in needs}
     for i in range(lo, hi):
         rep_seed = derive_seed(seed, TAG_REPLICATE, i)
@@ -489,13 +485,13 @@ def _fdr_chunk(scenario: Scenario, needs: tuple[str, ...], seed: int,
         y = genetic + _trait_noise(scenario.trait.sigma, rep_seed, scenario.n)
         Y = next(_permutation_slabs(_unit_response(y), 1, rep_seed, 2, True))
         for g, Xg in enumerate(chain(signal_panels, panels)):
-            stats = _stats_for_columns(Xg, Y, "quantitative", fs)
+            stats = _stats_for_columns(Xg, Y, "quantitative", needs)
             for name in needs:
                 out[name][i - lo, g] = stats[name]
     return out
 
 
-def fdr_curve(methods: Sequence[str | MethodId], scenario: Scenario,
+def fdr_curve(methods: Sequence[str], scenario: Scenario,
               levels: Sequence[float], n_sims: int, n_genes: int,
               n_signal_genes: int, seed: int, workers: int = 1) -> FdrCurve:
     """Empirical FDR when a fraction of genes carry calibrated signals.
@@ -516,16 +512,15 @@ def fdr_curve(methods: Sequence[str | MethodId], scenario: Scenario,
     lv = np.asarray(list(levels), dtype=np.float64)
     if lv.size == 0 or np.any(lv <= 0.0) or np.any(lv >= 1.0):
         raise ConfigError("levels must be a non-empty collection inside (0, 1)")
-    ms = _as_methods(methods, scenario.trait_kind)
-    needs = tuple(m.name for m in ms)
+    needs = _as_methods(methods, scenario.trait_kind)
 
     chunks = _run_chunked(_fdr_chunk, n_sims, workers, scenario, needs, seed,
                           n_genes, n_signal_genes)
-    fdr = np.empty((len(ms), lv.size))
+    fdr = np.empty((len(needs), lv.size))
     rej = np.empty_like(fdr)
     cuts = np.empty_like(fdr)
-    for mi, m in enumerate(ms):
-        stats = np.concatenate([c[m.name] for c in chunks], axis=0)  # (n_sims, n_genes, 2)
+    for mi, name in enumerate(needs):
+        stats = np.concatenate([c[name] for c in chunks], axis=0)  # (n_sims, n_genes, 2)
         observed = stats[:, :, 0]
         nulls = stats[:, :, 1].ravel()
         for li, level in enumerate(lv):
@@ -600,7 +595,6 @@ def _gene_chunk(X: np.ndarray, y: np.ndarray, n_perms: int, seed: int, gene_slic
     and the others lay at least 9.9e-9 apart: the tolerance 1e-11 sits two
     orders of magnitude from each.
     """
-    fs = frozenset(needs)
     genes = gene_slices[lo:hi]
     cols = np.concatenate(genes)
     ends = np.cumsum([g.size for g in genes])
@@ -610,15 +604,15 @@ def _gene_chunk(X: np.ndarray, y: np.ndarray, n_perms: int, seed: int, gene_slic
     Z = X[:, cols]  # one gathered copy, standardised in place
     exceed = {name: np.zeros(len(genes), dtype=np.int64) for name in needs}
     try:
-        block = _prepared_block(Z, spans, trait_kind, fs, out=Z)
+        block = _prepared_block(Z, spans, trait_kind, needs, out=Z)
         rho = np.concatenate([_correlations(Z[:, s], u[:, None]) for s in spans])
-        stats = _block_stats(block, rho, n, fs)
+        stats = _block_stats(block, rho, n, needs)
         observed = {name: stats[name][:, 0] for name in needs}
         reach = {name: t0 - _TIE_RTOL * np.maximum(1.0, np.abs(t0)) for name, t0 in observed.items()}
         for Y in _permutation_slabs(u, n_perms, seed, _slab_width(n), False):
             rho = _correlations(Z, Y)
             del Y  # freed before the product is scored and the next slab drawn
-            for name, permuted in _block_stats(block, rho, n, fs).items():
+            for name, permuted in _block_stats(block, rho, n, needs).items():
                 exceed[name] += np.count_nonzero(permuted >= reach[name][:, None], axis=1)
             del rho, permuted  # so that the next product is taken with these freed
     except (ConstantColumnError, MonomorphicColumnError, DegenerateCorrelationError) as e:
@@ -648,17 +642,17 @@ def _gene_columns(genes: Sequence[tuple[str, Sequence[int]]],
 
 
 def gene_set_statistics(genes: Sequence[tuple[str, Sequence[int]]], X, y,
-                        methods: Sequence[str | MethodId]) -> dict[str, np.ndarray]:
+                        methods: Sequence[str]) -> dict[str, np.ndarray]:
     """Observed statistic of every gene set, per method, oriented as in ranking."""
     Xa, yv, kind = validated_inputs(X, y)
-    needs = tuple(m.name for m in _as_methods(methods, kind))
+    needs = _as_methods(methods, kind)
     names, slices = _gene_columns(genes, Xa.shape[1])
     with one_thread():
         return _gene_chunk(Xa, yv, 0, 0, slices, kind, needs, 0, len(names))[0]  # no permutations
 
 
 def rank_gene_sets(genes: Sequence[tuple[str, Sequence[int]]], X, y,
-                   methods: Sequence[str | MethodId], n_perms: int, seed: int,
+                   methods: Sequence[str], n_perms: int, seed: int,
                    workers: int = 1) -> GeneRanking:
     """Rank gene sets on one dataset by permutation p-value.
 
@@ -670,7 +664,7 @@ def rank_gene_sets(genes: Sequence[tuple[str, Sequence[int]]], X, y,
     if n_perms < 100:
         raise TooFewPermutationsError(f"need n_perms >= 100, got {n_perms}")
     Xa, yv, kind = validated_inputs(X, y)
-    needs = tuple(m.name for m in _as_methods(methods, kind))
+    needs = _as_methods(methods, kind)
     names, slices = _gene_columns(genes, Xa.shape[1])
     chunks = _run_chunked(_gene_chunk, len(names), workers, Xa, yv, n_perms, seed,
                           slices, kind, needs)

@@ -48,8 +48,6 @@ from . import __version__
 from ._blas import managed as blas_managed, one_thread
 from ._rng import RNG_ALGORITHM, RNG_STREAMS
 from .bench import (
-    METHOD_NAMES,
-    MethodId,
     Scenario,
     _draw_replicate,
     csv_text,
@@ -57,6 +55,7 @@ from .bench import (
     fdr_curve,
     fdr_table_csv,
     gene_set_statistics,
+    methods_for,
     power_table_csv,
     rank_gene_sets,
     ranking_csv,
@@ -207,10 +206,9 @@ _KNOWN_KEYS: dict[str, Callable[[str], object]] = {
 
 @dataclass
 class Config:
-    """Raw key=value strings, the path they came from, and the defaults ``get`` used."""
+    """Raw key=value strings and the defaults ``get`` used."""
 
     raw: dict[str, str]
-    path: str
     defaults: dict[str, str] = field(default_factory=dict)
 
     def has(self, key: str) -> bool:
@@ -239,7 +237,7 @@ def load_config(path: str) -> Config:
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        text = p.read_text(encoding="utf-8")
+        text = p.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as e:
         raise ConfigError(f"{path}: not UTF-8 text ({e.reason})") from None
     raw: dict[str, str] = {}
@@ -256,7 +254,7 @@ def load_config(path: str) -> Config:
         if key in raw:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         raw[key] = value
-    return Config(raw=raw, path=str(path))
+    return Config(raw=raw)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +297,6 @@ class IngestReport:
 @dataclass(frozen=True)
 class LoadedGenotypes:
     matrix: GenotypeMatrix
-    snp_ids: tuple[str, ...]
     report: IngestReport
 
 
@@ -320,7 +317,7 @@ def _csv_records(path: str, what: str) -> Iterator[tuple[list[str], Iterator]]:
     if not p.is_file():
         raise MalformedCsvError(str(path), 0, f"{what} not found: {path}")
     try:
-        with p.open(newline="", encoding="utf-8") as fh:
+        with p.open(newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh, strict=True)
             header = next(reader, None)
             if header is None:
@@ -413,8 +410,7 @@ def load_genotype_csv(path: str, max_missing: float = 0.1,
     report = IngestReport(n_rows=n, kept=tuple(ids[j] for j in keep),
                           dropped=tuple(dropped), imputed=tuple(imputed), snps=tuple(ids))
     report.log()
-    return LoadedGenotypes(matrix=GenotypeMatrix(entries=data[:, keep]),
-                           snp_ids=report.kept, report=report)
+    return LoadedGenotypes(matrix=GenotypeMatrix(entries=data[:, keep]), report=report)
 
 
 def load_phenotype_csv(path: str, kind: str) -> Phenotype:
@@ -434,25 +430,20 @@ def load_phenotype_csv(path: str, kind: str) -> Phenotype:
     return Phenotype(values=np.asarray(values), kind=kind)  # type: ignore[arg-type]
 
 
-@dataclass(frozen=True)
-class GeneMap:
-    """Ordered gene -> column-index mapping over a loaded panel."""
-
-    genes: tuple[tuple[str, tuple[int, ...]], ...]
-
-
-def load_gene_map(path: str, kept_ids: Sequence[str], all_ids: Sequence[str]) -> GeneMap:
-    """Read a two-column (gene, snp) CSV and join it to kept panel columns.
+def load_gene_map(path: str, kept_ids: Sequence[str],
+                  all_ids: Sequence[str]) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """Read a two-column (gene, snp) CSV and join it to kept panel columns:
+    each gene, in first-seen order, with its kept columns' indices.
 
     Ids absent from the original header (``all_ids``) are errors; ids dropped
     by quality control are skipped with a log line.  A SNP may belong to one
-    gene only, and a gene whose SNPs were all dropped is an error.
+    gene only (a repeated row is skipped), and a gene whose SNPs were all
+    dropped is an error.
     """
     col_of = {snp: j for j, snp in enumerate(kept_ids)}
     known = set(all_ids)
     order: list[str] = []
     members: dict[str, list[int]] = {}
-    seen_pairs: set[tuple[str, str]] = set()
     owner: dict[str, str] = {}
     with _csv_records(path, "gene map") as (header, records):
         if [h.strip().lower() for h in header] != ["gene", "snp"]:
@@ -463,12 +454,11 @@ def load_gene_map(path: str, kept_ids: Sequence[str], all_ids: Sequence[str]) ->
             gene, snp = rec[0].strip(), rec[1].strip()
             if not gene or not snp:
                 raise MalformedCsvError(str(path), lineno, f"{path}:{lineno}: blank gene or snp")
-            if (gene, snp) in seen_pairs:
-                continue
-            seen_pairs.add((gene, snp))
             if snp not in known:
                 raise UnknownSnpIdError(snp, f"{path}:{lineno}: unknown SNP id {snp!r}")
-            if snp in owner and owner[snp] != gene:
+            if owner.get(snp) == gene:
+                continue
+            if snp in owner:
                 raise MalformedCsvError(str(path), lineno,
                                         f"{path}:{lineno}: SNP {snp!r} assigned to both "
                                         f"{owner[snp]!r} and {gene!r}")
@@ -483,7 +473,7 @@ def load_gene_map(path: str, kept_ids: Sequence[str], all_ids: Sequence[str]) ->
     for gene in order:
         if not members[gene]:
             raise EmptyGeneError(gene, f"{path}: gene {gene!r} has no surviving SNPs")
-    return GeneMap(genes=tuple((g, tuple(members[g])) for g in order))
+    return tuple((g, tuple(members[g])) for g in order)
 
 
 # ---------------------------------------------------------------------------
@@ -601,9 +591,7 @@ def _scenarios_from_cfg(cfg: Config) -> list[Scenario]:
 
 
 def _methods_from_cfg(cfg: Config, trait_kind: str, default: str | None = None) -> list[str]:
-    if default is None:
-        default = ",".join(m for m in METHOD_NAMES if MethodId(m).applicable_to(trait_kind))
-    return cfg.get("analysis.methods", default)
+    return cfg.get("analysis.methods", default or ",".join(methods_for(trait_kind)))
 
 
 # ---------------------------------------------------------------------------
@@ -663,10 +651,9 @@ def _cmd_score(cfg: Config, seed: int, workers: int) -> tuple[dict[str, str], di
     stat_kind = "t" if trait_kind == "quantitative" else "d"
     marg = marginal_stats(loaded.matrix, pheno, stat_kind)
     marg_rows = [(snp, marg.values[j], marg.pvalues[j])
-                 for j, snp in enumerate(loaded.snp_ids)]
+                 for j, snp in enumerate(loaded.report.kept)]
     if cfg.has("io.gene_map"):
-        gm = load_gene_map(cfg.get("io.gene_map"), loaded.snp_ids, loaded.report.snps)
-        gene_list = gm.genes
+        gene_list = load_gene_map(cfg.get("io.gene_map"), loaded.report.kept, loaded.report.snps)
     else:
         gene_list = [("all", range(loaded.matrix.n_snps))]
     stats = gene_set_statistics(gene_list, loaded.matrix, pheno,
@@ -706,13 +693,16 @@ def _cmd_fdr(cfg: Config, seed: int, workers: int) -> tuple[dict[str, str], dict
 
 def _cmd_rank(cfg: Config, seed: int, workers: int) -> tuple[dict[str, str], dict]:
     loaded, pheno, trait_kind = _load_panel(cfg)
-    gm = load_gene_map(cfg.get("io.gene_map"), loaded.snp_ids, loaded.report.snps)
+    genes = load_gene_map(cfg.get("io.gene_map"), loaded.report.kept, loaded.report.snps)
     methods = _methods_from_cfg(cfg, trait_kind)
-    ranking = rank_gene_sets(gm.genes, loaded.matrix, pheno, methods,
+    targets = cfg.get_optional("rank.target_genes")
+    for i, gene in enumerate(targets or ()):
+        if gene in targets[:i]:  # mean_rank would count it once, n_genes twice
+            raise ConfigError(f"rank.target_genes: gene {gene!r} is repeated")
+    ranking = rank_gene_sets(genes, loaded.matrix, pheno, methods,
                              n_perms=cfg.get("execution.n_perms", "10000"),
                              seed=seed, workers=workers)
     texts = {"rank": ranking_csv(ranking), "ingest": loaded.report.csv()}
-    targets = cfg.get_optional("rank.target_genes")
     if targets:
         averages = ranking.average_ranks(targets)
         rows = [(m, averages[m], len(targets)) for m in ranking.methods]

@@ -15,7 +15,6 @@ from rareweak import (
     EmptyGeneError,
     EmptyGroupError,
     LdSpec,
-    MethodId,
     MonomorphicColumnError,
     NonFiniteInputError,
     Phenotype,
@@ -32,6 +31,7 @@ from rareweak import (
     linear_combination_test,
     marginal_correlations,
     marginal_stats,
+    methods_for,
     permutation_cutoff,
     power_table_csv,
     pvalues_two_sided,
@@ -78,7 +78,7 @@ def test_permutation_cutoff_degenerate_null():
     from rareweak.bench import _stats_for_columns
 
     observed = _stats_for_columns(X, _unit_response(y)[:, None], "quantitative",
-                                  frozenset({"HC"}))["HC"][0]
+                                  ("HC",))["HC"][0]
     cut = permutation_cutoff("HC", X, y, n_perms=40, level=0.5, seed=1)
     assert cut == pytest.approx(observed, rel=1e-12)
 
@@ -108,7 +108,7 @@ def test_permutation_cutoff_calibrates_fresh_permutations():
     frng = np.random.default_rng(999)
     for i in range(2000):
         fresh[:, i] = _unit_response(y[frng.permutation(250)])
-    stats = _stats_for_columns(X, fresh, "quantitative", frozenset({"HC"}))["HC"]
+    stats = _stats_for_columns(X, fresh, "quantitative", ("HC",))["HC"]
     rate = float(np.mean(stats > cut))
     assert 0.04 <= rate <= 0.06
 
@@ -126,8 +126,7 @@ def test_kernel_columns_match_public_scalar_functions(trait_kind):
     else:
         labels = np.repeat([1.0, 0.0], [60, n - 60])
         Y = np.column_stack([rng.permutation(labels) for _ in range(m)])
-    needs = frozenset(name for name in METHOD_NAMES
-                      if MethodId(name).applicable_to(trait_kind))
+    needs = methods_for(trait_kind)
     kernel = _stats_for_columns(X, np.column_stack([_unit_response(c) for c in Y.T]),
                                 trait_kind, needs)
     sigma = empirical_correlation(X)
@@ -276,7 +275,7 @@ def test_overlapping_genes_out_of_order_match_the_per_gene_kernel(trait_kind, wo
     if trait_kind == "binary":
         y = Phenotype(values=(y > 0).astype(float), kind="binary")
     genes = [("c", [9, 2, 8]), ("a", [0, 1, 2, 3]), ("b", [5, 3, 4])]
-    needs = tuple(m for m in METHOD_NAMES if MethodId(m).applicable_to(trait_kind))
+    needs = methods_for(trait_kind)
     n_perms, seed = 300, 4
     Xa, yv, kind = validated_inputs(X, y)
     names, slices = bench._gene_columns(genes, Xa.shape[1])
@@ -286,7 +285,7 @@ def test_overlapping_genes_out_of_order_match_the_per_gene_kernel(trait_kind, wo
     scored = gene_set_statistics(genes, X, y, needs)
     assert list(scored) == list(needs)  # ``score`` writes its columns in this order
     for gi, (_, idx) in enumerate(genes):
-        per_gene = _stats_for_columns(Xa[:, np.sort(idx)], Y, kind, frozenset(needs))
+        per_gene = _stats_for_columns(Xa[:, np.sort(idx)], Y, kind, needs)
         for m in needs:
             observed, exceed = (np.concatenate([c[k][m] for c in chunks])[gi] for k in (0, 1))
             # bit for bit what ``score`` writes, whatever chunk the gene is in
@@ -302,10 +301,22 @@ def test_overlapping_genes_out_of_order_match_the_per_gene_kernel(trait_kind, wo
 
 
 def test_method_id_validation():
-    with pytest.raises(ConfigError):
-        MethodId("HCX")
-    assert MethodId("HCm").applicable_to("quantitative")
-    assert not MethodId("HCm").applicable_to("binary")
+    with pytest.raises(ConfigError, match="unknown method 'HCX'"):
+        bench._as_methods(["HCX"], "quantitative")
+    assert "HCm" in methods_for("quantitative")
+    assert "HCm" not in methods_for("binary")
+    assert methods_for("quantitative") == METHOD_NAMES
+
+
+def test_kernels_return_statistics_in_request_order():
+    # neither METHOD_NAMES order nor string-hash order: the order asked for
+    needs = ("QT", "HC", "MinP")
+    assert bench._as_methods(list(needs), "binary") == needs
+    rng = np.random.default_rng(7)
+    X = rng.binomial(2, 0.4, size=(80, 6)).astype(float)
+    Y = np.column_stack([_unit_response(rng.standard_normal(80)) for _ in range(3)])
+    assert tuple(_stats_for_columns(X, Y, "quantitative", needs)) == needs
+    assert tuple(bench._replicate_stats(quick_scenario(L=12, n=80), needs, 5, 3)) == needs
 
 
 def test_binary_scenario_rejects_correlation_variant():
@@ -627,7 +638,7 @@ def pinned_power_scenario(trait_kind):
 @pytest.mark.parametrize("trait_kind", ["quantitative", "binary"])
 def test_streamed_power_matches_the_pinned_block_result(monkeypatch, trait_kind, width):
     _slab_columns(monkeypatch, 150, width)
-    methods = [m for m in METHOD_NAMES if MethodId(m).applicable_to(trait_kind)]
+    methods = methods_for(trait_kind)
     results = empirical_power(methods, pinned_power_scenario(trait_kind), n_sims=100,
                               level=0.05, seed=9, perms_per_sim=20, retain=True)
     digest = hashlib.sha256(power_table_csv(results).encode("utf-8"))

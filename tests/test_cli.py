@@ -77,7 +77,7 @@ def test_config_rejects_unknown_duplicate_and_bare_lines(tmp_path):
 
 
 def test_config_value_coercion_errors_name_the_key():
-    cfg = Config(raw={"scenario.L": "ten"}, path="x")
+    cfg = Config(raw={"scenario.L": "ten"})
     with pytest.raises(ConfigError, match="scenario.L"):
         cfg.get("scenario.L")
     with pytest.raises(ConfigError, match="missing required key scenario.q"):
@@ -85,16 +85,16 @@ def test_config_value_coercion_errors_name_the_key():
 
 
 def test_config_ld_and_scheme_values():
-    cfg = Config(raw={"scenario.ld": "six_designs"}, path="x")
+    cfg = Config(raw={"scenario.ld": "six_designs"})
     designs = cfg.get("scenario.ld")
     assert len(designs) == 6
     assert len({name for name, _ in designs}) == 6
-    cfg = Config(raw={"scenario.ld": "toeplitz:0.3+0.1", "scenario.scheme": "uniform_range:0.5+1.5"},
-                 path="x")
+    cfg = Config(raw={"scenario.ld": "toeplitz:0.3+0.1",
+                      "scenario.scheme": "uniform_range:0.5+1.5"})
     [(name, spec)] = cfg.get("scenario.ld")
     assert spec.bands == (0.3, 0.1)
     assert cfg.get("scenario.scheme").kind == "uniform_range"
-    cfg = Config(raw={"scenario.ld": "spiral:1"}, path="x")
+    cfg = Config(raw={"scenario.ld": "spiral:1"})
     with pytest.raises(ConfigError):
         cfg.get("scenario.ld")
 
@@ -110,7 +110,7 @@ def test_load_genotypes_preserves_values_exactly(tmp_path):
     p = geno_csv(tmp_path, "s1,s2\n0,2\n1,0\n2,1\n")
     loaded = load_genotype_csv(p)
     np.testing.assert_array_equal(loaded.matrix.entries, [[0, 2], [1, 0], [2, 1]])
-    assert loaded.snp_ids == ("s1", "s2")
+    assert loaded.report.kept == ("s1", "s2")
     assert loaded.report.dropped == () and loaded.report.imputed == ()
     assert loaded.report.n_rows == 3
 
@@ -129,7 +129,7 @@ def test_load_genotypes_drops_high_missing_and_constant(tmp_path):
         rows.append(f"{'NA' if i < 3 else i % 3},{i % 2},1")
     p = geno_csv(tmp_path, "\n".join(rows) + "\n")
     loaded = load_genotype_csv(p)
-    assert loaded.snp_ids == ("s2",)
+    assert loaded.report.kept == ("s2",)
     reasons = dict(loaded.report.dropped)
     assert "missing rate" in reasons["s1"]
     assert reasons["s3"] == "constant"
@@ -145,9 +145,9 @@ def test_load_genotypes_optional_filters(tmp_path):
         s3 = (0, 1, 1, 2)[i % 4]
         lines.append(f"{s1},{s2},{s3}")
     p = geno_csv(tmp_path, "\n".join(lines) + "\n")
-    assert load_genotype_csv(p).snp_ids == ("s1", "s2", "s3")
-    assert load_genotype_csv(p, hwe_min_pvalue=0.01).snp_ids == ("s2", "s3")
-    assert load_genotype_csv(p, maf_min=0.05).snp_ids == ("s1", "s3")
+    assert load_genotype_csv(p).report.kept == ("s1", "s2", "s3")
+    assert load_genotype_csv(p, hwe_min_pvalue=0.01).report.kept == ("s2", "s3")
+    assert load_genotype_csv(p, maf_min=0.05).report.kept == ("s1", "s3")
 
 
 def test_load_genotypes_malformed(tmp_path):
@@ -275,8 +275,7 @@ def _reference_load_genotype_csv(path, max_missing=0.1, hwe_min_pvalue=None, maf
         raise AllColumnsDroppedError(f"{path}: every column failed quality control")
     report = IngestReport(n_rows=n, kept=tuple(ids[j] for j in keep_cols),
                           dropped=tuple(dropped), imputed=tuple(imputed), snps=tuple(ids))
-    return LoadedGenotypes(matrix=GenotypeMatrix(entries=data[:, keep_cols]),
-                           snp_ids=report.kept, report=report)
+    return LoadedGenotypes(matrix=GenotypeMatrix(entries=data[:, keep_cols]), report=report)
 
 
 def _panel_cells():
@@ -357,14 +356,14 @@ def test_load_phenotype(tmp_path):
 
 def test_gene_map_joins_and_dedupes(tmp_path):
     p = write(tmp_path / "m.csv", "gene,snp\nG1,s1\nG1,s3\nG1,s1\nG2,s2\n")
-    gm = load_gene_map(p, kept_ids=("s1", "s2", "s3"), all_ids=("s1", "s2", "s3"))
-    assert gm.genes == (("G1", (0, 2)), ("G2", (1,)))
+    genes = load_gene_map(p, kept_ids=("s1", "s2", "s3"), all_ids=("s1", "s2", "s3"))
+    assert genes == (("G1", (0, 2)), ("G2", (1,)))
 
 
 def test_gene_map_skips_qc_dropped_but_rejects_unknown(tmp_path):
     p = write(tmp_path / "m.csv", "gene,snp\nG1,s1\nG1,s2\n")
-    gm = load_gene_map(p, kept_ids=("s1",), all_ids=("s1", "s2"))
-    assert gm.genes == (("G1", (0,)),)
+    genes = load_gene_map(p, kept_ids=("s1",), all_ids=("s1", "s2"))
+    assert genes == (("G1", (0,)),)
     with pytest.raises(UnknownSnpIdError) as ei:
         load_gene_map(p, kept_ids=("s1",), all_ids=("s1",))
     assert ei.value.snp_id == "s2"
@@ -681,6 +680,45 @@ def test_undecodable_input_exits_with_one_json_line(tmp_path, capsys, bad_file, 
     assert payloads[0]["message"].endswith("not UTF-8 text (invalid start byte)")
 
 
+def _with_bom(path):
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+
+
+def test_bom_genotype_ids_reach_the_artifacts_without_it(tmp_path):
+    cfg = _panel_files(tmp_path, [f"{v:.6f}" for v in np.random.default_rng(5).normal(size=40)])
+    _with_bom(tmp_path / "g.csv")
+    cfg = write(tmp_path / "a.cfg",
+                "".join(ln + "\n" for ln in Path(cfg).read_text().splitlines()
+                        if not ln.startswith("io.gene_map")))
+    out = tmp_path / "out"
+    assert main(["score", "--config", cfg, "--out", str(out)]) == 0
+    for artifact in ("marginals.csv", "ingest.csv"):
+        assert [ln.split(",")[0] for ln in (out / artifact).read_text().splitlines()[1:3]] == [
+            "snp_1", "snp_2"], artifact
+
+
+@pytest.mark.parametrize("bom_file", ["g.csv", "p.csv", "m.csv", "a.cfg"])
+def test_a_leading_bom_is_accepted_on_every_input(tmp_path, bom_file):
+    # a BOM genotype header once named "\ufeffsnp_1", which the gene map's
+    # snp_1 did not match; a BOM config once named "\ufeffio.genotypes"
+    cfg = _panel_files(tmp_path, [f"{v:.6f}" for v in np.random.default_rng(5).normal(size=40)])
+    assert main(["rank", "--config", cfg, "--out", str(tmp_path / "plain")]) == 0
+    _with_bom(tmp_path / bom_file)
+    assert main(["rank", "--config", cfg, "--out", str(tmp_path / "bom")]) == 0
+    for artifact in ("rank.csv", "ingest.csv"):
+        assert (tmp_path / "bom" / artifact).read_bytes() == (tmp_path / "plain" / artifact).read_bytes()
+
+
+def test_a_repeated_target_gene_exits_2(tmp_path, capsys):
+    cfg = _panel_files(tmp_path, [f"{v:.6f}" for v in np.random.default_rng(5).normal(size=40)])
+    with open(cfg, "a", encoding="utf-8") as fh:
+        fh.write("rank.target_genes = G0,G0,G1\n")
+    assert main(["rank", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    payload = _one_payload(capsys)
+    assert payload["error"] == "ConfigError" and "'G0'" in payload["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def _one_payload(capsys):
     payloads = []
     for line in capsys.readouterr().err.splitlines():
@@ -849,7 +887,7 @@ def test_workers_resolution_order(tmp_path):
 
 
 def test_run_requires_known_command(tmp_path):
-    cfg = Config(raw={}, path="x")
+    cfg = Config(raw={})
     with pytest.raises(ConfigError, match="unknown command"):
         run("zap", cfg, out_dir=tmp_path)
 
