@@ -52,7 +52,10 @@ Replicates draw fresh genotypes and fresh signal placements, all in
 ``_draw_replicate``, which ``rareweak simulate`` calls too, so that it
 writes what a power replicate scores.  Each replicate's seeds derive from
 the master seed and the replicate index, so results are identical however
-replicates are split across workers.
+replicates are split across workers.  ``_run_chunked`` is the one place work
+is split: each pool process gets the panel and the other arguments once, and
+a job is only its item bounds; ranking cuts its genes into chunks of equal
+gathered-column counts, as nearly as whole genes allow.
 """
 
 from __future__ import annotations
@@ -381,28 +384,56 @@ def _power_chunk(scenario: Scenario, needs: tuple[str, ...], seed: int,
     return stats
 
 
-def _run_chunked(fn, n_items: int, workers: int, *args):
+def _run_chunked(fn, n_items: int, workers: int, *args, weights: Sequence[int] | None = None):
     """Split 0..n_items into contiguous chunks, run fn(*args, lo, hi) on each,
     return the chunk results in index order regardless of worker count.
 
-    Every chunk runs with one BLAS thread (``_blas.one_thread``), in this
-    process or in a pool worker, so ``workers`` is the only parallelism.
+    Chunks hold equal shares of ``weights`` (one per item, all 1 when not
+    given) as nearly as whole items allow (see ``_cuts``).  Every chunk runs
+    with one BLAS thread (``_blas.one_thread``), in this process or in a pool
+    worker, so ``workers`` is the only parallelism.  Each pool process gets
+    fn and args once, through the pool's initializer: under the fork start
+    method it inherits them, under spawn or forkserver they are pickled once
+    per process.  A job carries its (lo, hi) alone.
     """
     # at most one worker per item: each chunk is non-empty, each worker has a job
     workers = max(1, min(int(workers), n_items))
     if workers == 1:
         with one_thread():
             return [fn(*args, 0, n_items)]
-    bounds = np.linspace(0, n_items, workers + 1).astype(int).tolist()
-    jobs = list(zip(bounds[:-1], bounds[1:]))
-    with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-        return list(pool.map(_chunk_call, [(fn, args, lo, hi) for lo, hi in jobs]))
+    bounds = _cuts(np.ones(n_items, dtype=np.int64) if weights is None else weights, workers)
+    with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
+                             initargs=(fn, args)) as pool:
+        return list(pool.map(_chunk_call, list(zip(bounds[:-1], bounds[1:]))))
 
 
-def _chunk_call(packed):
-    fn, args, lo, hi = packed
+def _cuts(weights: Sequence[int], k: int) -> list[int]:
+    """Bounds 0 = c_0 < c_1 < ... < c_k = len(weights) of k contiguous chunks
+    of items: c_i is the item boundary whose running weight lies nearest i/k
+    of the total (the lower one on a tie), moved just enough that every chunk
+    keeps at least one item.  Needs 1 <= k <= len(weights)."""
+    running = np.concatenate([[0], np.cumsum(weights, dtype=np.int64)])
+    n = running.size - 1
+    cuts = [0]
+    for i in range(1, k):
+        nearest = int(np.argmin(np.abs(k * running - i * running[-1])))
+        cuts.append(min(max(nearest, cuts[-1] + 1), n - (k - i)))
+    return cuts + [n]
+
+
+# a pool process's chunk function and its arguments, set once by _pool_init
+_POOL_CALL: tuple | None = None
+
+
+def _pool_init(fn, args: tuple) -> None:
+    global _POOL_CALL
+    _POOL_CALL = fn, args
+
+
+def _chunk_call(bounds: tuple[int, int]):
+    fn, args = _POOL_CALL
     with one_thread():
-        return fn(*args, lo, hi)
+        return fn(*args, *bounds)
 
 
 def empirical_power(methods: Sequence[str], scenario: Scenario,
@@ -555,11 +586,16 @@ class GeneRanking:
     def average_ranks(self, gene_names: Sequence[str]) -> dict[str, float]:
         """Mean rank over a target subset, per method."""
         wanted = set(gene_names)
-        missing = wanted - set(self.genes)
-        if missing:
-            raise EmptyGeneError(sorted(missing)[0], f"unknown gene(s) {sorted(missing)}")
+        _require_genes(wanted, self.genes)
         idx = [i for i, g in enumerate(self.genes) if g in wanted]
         return {m: float(self.ranks[mi, idx].mean()) for mi, m in enumerate(self.methods)}
+
+
+def _require_genes(gene_names: Sequence[str], known: Sequence[str]) -> None:
+    """Raise ``EmptyGeneError`` naming every gene of gene_names not in known."""
+    missing = sorted(set(gene_names) - set(known))
+    if missing:
+        raise EmptyGeneError(missing[0], f"unknown gene(s) {missing}")
 
 
 # relative tolerance of the exceedance comparison (see _gene_chunk)
@@ -666,8 +702,9 @@ def rank_gene_sets(genes: Sequence[tuple[str, Sequence[int]]], X, y,
     Xa, yv, kind = validated_inputs(X, y)
     needs = _as_methods(methods, kind)
     names, slices = _gene_columns(genes, Xa.shape[1])
+    # chunks of equal gathered-column counts: a gene's work grows with its columns
     chunks = _run_chunked(_gene_chunk, len(names), workers, Xa, yv, n_perms, seed,
-                          slices, kind, needs)
+                          slices, kind, needs, weights=[s.size for s in slices])
     pvals = np.empty((len(needs), len(names)))
     for mi, m in enumerate(needs):
         exceed = np.concatenate([counts[m] for _, counts in chunks])

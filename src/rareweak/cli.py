@@ -50,6 +50,7 @@ from ._rng import RNG_ALGORITHM, RNG_STREAMS
 from .bench import (
     Scenario,
     _draw_replicate,
+    _require_genes,
     csv_text,
     empirical_power,
     fdr_curve,
@@ -330,9 +331,11 @@ def _csv_records(path: str, what: str) -> Iterator[tuple[list[str], Iterator]]:
         raise MalformedCsvError(str(path), line, f"{path}:{line}: {e}") from None
 
 
-# cell text -> allele count; a cell not in it reads as _NO_CELL until stripped
-_CELLS = {"0": 0.0, "1": 1.0, "2": 2.0, MISSING_TOKEN: np.nan}
-_NO_CELL = -1.0
+# cell text -> genotype code: the allele count, or _NA_CODE for a missing
+# cell; a cell not in it reads as _NO_CELL until stripped
+_NA_CODE = 3
+_CELLS = {"0": 0, "1": 1, "2": 2, MISSING_TOKEN: _NA_CODE}
+_NO_CELL = 255
 
 
 def load_genotype_csv(path: str, max_missing: float = 0.1,
@@ -346,6 +349,9 @@ def load_genotype_csv(path: str, max_missing: float = 0.1,
     ``maf_min``, or when they are constant; surviving NAs are imputed with
     the column mean of observed entries.  Nothing is altered silently: the
     returned report lists every drop and imputation count.
+
+    Cells are read as one-byte codes, and quality control runs on that
+    block; the float64 panel is built once, from the kept columns alone.
     """
     with _csv_records(path, "genotype file") as (header, records):
         ids = [h.strip() for h in header]
@@ -359,31 +365,30 @@ def load_genotype_csv(path: str, max_missing: float = 0.1,
             if len(rec) != width:
                 raise MalformedCsvError(str(path), lineno,
                                         f"{path}:{lineno}: expected {width} cells, got {len(rec)}")
-            vals = np.fromiter(map(_CELLS.get, rec, repeat(_NO_CELL)), np.float64, width)
-            for j in np.flatnonzero(vals == _NO_CELL):
+            row = np.fromiter(map(_CELLS.get, rec, repeat(_NO_CELL)), np.uint8, width)
+            for j in np.flatnonzero(row == _NO_CELL):
                 c = rec[j].strip()
                 if c not in _CELLS:
                     raise MalformedCsvError(str(path), lineno,
                                             f"{path}:{lineno}: cell {c!r} is not 0/1/2 or NA")
-                vals[j] = _CELLS[c]
-            rows.append(vals)
+                row[j] = _CELLS[c]
+            rows.append(row)
     n = len(rows)
     if n < 2:
         raise MalformedCsvError(str(path), n + 1, f"{path}: need at least 2 sample rows, got {n}")
-    data = np.vstack(rows)
-    del rows  # so that the block and its kept columns are the peak, not the rows too
+    codes = np.vstack(rows)
+    del rows  # so that QC's temporaries and the panel are the peak, not the rows too
 
-    missing = np.isnan(data)
-    n_missing = missing.sum(axis=0)
-    counts = np.stack([np.count_nonzero(data == g, axis=0) for g in (0.0, 1.0, 2.0)])
+    counts = np.stack([np.count_nonzero(codes == g, axis=0) for g in range(_NA_CODE + 1)])
+    n_missing = counts[_NA_CODE]
     # exact on integer cells: the sum and the count are whole numbers
     mean = (counts[1] + 2 * counts[2]) / np.maximum(n - n_missing, 1)
     too_missing = n_missing / n > max_missing
-    constant = ~too_missing & (np.count_nonzero(counts, axis=0) <= 1)
+    constant = ~too_missing & (np.count_nonzero(counts[:_NA_CODE], axis=0) <= 1)
     drop = too_missing | constant
     pv = np.ones(width)
     if hwe_min_pvalue is not None:
-        pv[~drop] = _hwe_pvalues(counts[:, ~drop])
+        pv[~drop] = _hwe_pvalues(counts[:_NA_CODE, ~drop])
         drop |= pv < hwe_min_pvalue
     maf = np.minimum(mean / 2.0, 1.0 - mean / 2.0)
     if maf_min is not None:
@@ -405,12 +410,14 @@ def load_genotype_csv(path: str, max_missing: float = 0.1,
     keep = np.flatnonzero(~drop)
     if not keep.size:
         raise AllColumnsDroppedError(f"{path}: every column failed quality control")
-    np.copyto(data, mean, where=missing)
+    codes = codes[:, keep]  # column-major, as the panel built from it
+    entries = codes.astype(np.float64)
+    np.copyto(entries, mean[keep], where=codes == _NA_CODE)
 
     report = IngestReport(n_rows=n, kept=tuple(ids[j] for j in keep),
                           dropped=tuple(dropped), imputed=tuple(imputed), snps=tuple(ids))
     report.log()
-    return LoadedGenotypes(matrix=GenotypeMatrix(entries=data[:, keep]), report=report)
+    return LoadedGenotypes(matrix=GenotypeMatrix(entries=entries), report=report)
 
 
 def load_phenotype_csv(path: str, kind: str) -> Phenotype:
@@ -699,6 +706,8 @@ def _cmd_rank(cfg: Config, seed: int, workers: int) -> tuple[dict[str, str], dic
     for i, gene in enumerate(targets or ()):
         if gene in targets[:i]:  # mean_rank would count it once, n_genes twice
             raise ConfigError(f"rank.target_genes: gene {gene!r} is repeated")
+    # an unknown target exits before any permutation is drawn
+    _require_genes(targets or (), [gene for gene, _ in genes])
     ranking = rank_gene_sets(genes, loaded.matrix, pheno, methods,
                              n_perms=cfg.get("execution.n_perms", "10000"),
                              seed=seed, workers=workers)

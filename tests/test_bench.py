@@ -1,6 +1,10 @@
 """Permutation-calibrated power, FDR, and ranking machinery."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -519,10 +523,10 @@ def test_rank_pool_ships_no_response_matrix(monkeypatch):
     shipped = []
     real = bench._run_chunked
 
-    def spy(fn, n_items, workers, *args):
+    def spy(fn, n_items, workers, *args, **kwargs):
         for a in args:
             shipped.extend(a if isinstance(a, tuple) else [a])
-        return real(fn, n_items, workers, *args)
+        return real(fn, n_items, workers, *args, **kwargs)
 
     monkeypatch.setattr(bench, "_run_chunked", spy)
     genes = [(f"g{i}", list(range(4 * i, 4 * i + 4))) for i in range(4)]
@@ -542,8 +546,9 @@ def test_pool_starts_one_worker_per_job(monkeypatch):
     started = []
 
     class InlinePool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             started.append(max_workers)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -555,6 +560,7 @@ def test_pool_starts_one_worker_per_job(monkeypatch):
             return list(map(fn, items))
 
     monkeypatch.setattr(bench, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(bench, "_POOL_CALL", None)  # the initializer sets it in this process
     X, y = rank_panel(seed=73, L=12)
     genes = [(f"g{i}", list(range(4 * i, 4 * i + 4))) for i in range(3)]
     wide = rank_gene_sets(genes, X, y, ["HC", "QT"], n_perms=100, seed=5, workers=500)
@@ -564,6 +570,91 @@ def test_pool_starts_one_worker_per_job(monkeypatch):
     assert bench._run_chunked(_chunk_bounds, 5, 10**15) == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
     assert bench._run_chunked(_chunk_bounds, 7, 2) == [(0, 3), (3, 7)]
     assert started == [3, 5, 2]
+
+
+def test_pool_jobs_carry_their_bounds_alone(monkeypatch):
+    # the panel reaches a pool process once, through its initializer; a job
+    # is its (lo, hi) and nothing else
+    received = []
+
+    class SpyPool(bench.ProcessPoolExecutor):
+        def map(self, fn, *iterables, **kwargs):
+            jobs = [list(it) for it in iterables]
+            received.extend(jobs[0])
+            return super().map(fn, *jobs, **kwargs)
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", SpyPool)
+    X, y = rank_panel(seed=73, L=16)
+    genes = [(f"g{i}", list(range(4 * i, 4 * i + 4))) for i in range(4)]
+    pooled = rank_gene_sets(genes, X, y, ["HC", "QT"], n_perms=300, seed=5, workers=2)
+    one = rank_gene_sets(genes, X, y, ["HC", "QT"], n_perms=300, seed=5, workers=1)
+    assert ranking_csv(pooled) == ranking_csv(one)
+    assert received == [(0, 2), (2, 4)]
+    assert all(type(bound) is int for job in received for bound in job)
+
+
+def test_ranking_is_the_same_at_any_worker_count():
+    # genes of uneven sizes, so that column-weighted chunks differ from
+    # chunks of equal gene counts
+    X, y = rank_panel(seed=41, L=24)
+    sizes = [9, 1, 2, 6, 3, 1, 2]
+    ends = np.cumsum(sizes)
+    genes = [(f"g{i}", list(range(end - size, end))) for i, (size, end) in enumerate(zip(sizes, ends))]
+    texts = {ranking_csv(rank_gene_sets(genes, X, y, methods_for("quantitative"), n_perms=200,
+                                        seed=9, workers=workers)) for workers in (1, 2, 3)}
+    assert len(texts) == 1
+
+
+@pytest.mark.parametrize("weights,k,want", [
+    ([100, 1, 1], 3, [0, 1, 2, 3]),        # searchsorted on the targets would empty chunk 2
+    ([1, 1, 100], 3, [0, 1, 2, 3]),
+    ([1] * 10 + [10] * 10, 2, [0, 14, 20]),  # 50 and 60 columns; by gene count, 10 and 100
+    ([1] * 7, 2, [0, 3, 7]),                 # a tie goes to the lower boundary
+    ([3, 3], 1, [0, 2]),
+])
+def test_cuts_are_column_weighted_and_leave_no_chunk_empty(weights, k, want):
+    assert bench._cuts(weights, k) == want
+
+
+def test_cuts_cover_every_item_in_balanced_contiguous_chunks():
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        weights = rng.integers(1, 41, size=int(rng.integers(1, 60)))
+        k = int(rng.integers(1, weights.size + 1))
+        cuts = bench._cuts(weights, k)
+        assert cuts[0] == 0 and cuts[-1] == weights.size and len(cuts) == k + 1
+        assert all(a < b for a, b in zip(cuts, cuts[1:]))  # contiguous, none empty
+        if weights.size >= 20 and k <= 3:  # no weight outgrows a share
+            shares = [weights[a:b].sum() for a, b in zip(cuts, cuts[1:])]
+            assert max(abs(s - weights.sum() / k) for s in shares) <= weights.max()
+    assert bench._run_chunked(_chunk_bounds, 3, 3, weights=[1, 1, 100]) == [(0, 1), (1, 2), (2, 3)]
+
+
+@pytest.mark.parametrize("start_method", ["spawn", "forkserver"])
+def test_pool_ranks_alike_under_every_start_method(start_method):
+    # under spawn and forkserver (Python 3.14's default on Linux) the pool
+    # processes receive the chunk function and its arguments by pickle
+    src = str(Path(bench.__file__).resolve().parents[1])
+    code = f"""
+import multiprocessing, sys
+import numpy as np
+from rareweak import rank_gene_sets, ranking_csv
+multiprocessing.set_start_method({start_method!r})
+rng = np.random.default_rng(29)
+X = rng.binomial(2, 0.4, size=(120, 10)).astype(float)
+y = rng.standard_normal(120)
+genes = [("a", [0, 1, 2, 3, 4, 5]), ("b", [6, 7]), ("c", [8, 9])]
+texts = [ranking_csv(rank_gene_sets(genes, X, y, ["HC", "QT"], n_perms=200, seed=3, workers=w))
+         for w in (1, 2)]
+sys.stdout.write(texts[1] if texts[0] == texts[1] else "the 2-worker ranking differs")
+"""
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+    rng = np.random.default_rng(29)
+    X = rng.binomial(2, 0.4, size=(120, 10)).astype(float)
+    y = rng.standard_normal(120)
+    genes = [("a", [0, 1, 2, 3, 4, 5]), ("b", [6, 7]), ("c", [8, 9])]
+    assert done.stdout == ranking_csv(rank_gene_sets(genes, X, y, ["HC", "QT"], n_perms=200, seed=3))
 
 
 # --- streamed permutations ------------------------------------------------------
