@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
+
 RNG_ALGORITHM = "philox4x64"
 # version of the stream layout; README lists what each version changed
 RNG_STREAMS = 2
@@ -42,6 +44,10 @@ TAG_GENE = 7
 
 
 def seed_sequence(seed: int, *path: int) -> np.random.SeedSequence:
+    """The SeedSequence of ``(seed, *path)``: every stream starts here, so
+    this is the one check that a seed is a non-negative integer."""
+    if int(seed) < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     return np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
 
 

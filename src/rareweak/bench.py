@@ -27,21 +27,18 @@ and computes what does not depend on the response (the case/control score
 scale, and per gene Sigma's Cholesky factor and LCT's norm);
 ``_block_stats`` turns Z' Y into every gene's statistics and adds the
 orientation: |LCT|, since the public ``linear_combination_test`` is signed,
-and max |score| for MinP.  Power and FDR replicates score one gene
-(``_stats_for_columns``), ``permutation_cutoff`` scores one gene slab by
-slab, and a ranking chunk all of its genes with one product per slab.
-Entry points validate inputs once, with ``core_stats.validated_inputs``,
-before any permutation is drawn.
+and max |score| for MinP.  Entry points validate inputs once, with
+``core_stats.validated_inputs``, before any permutation is drawn.
 
-``_permutation_slabs`` is the one place permutations are drawn.  It permutes
-the response's unit form (``core_stats._unit_response``), which a permutation
-keeps centred with unit norm, so no block is centred again.  Every driver
-reads them in slabs of ``_slab_width(n)`` columns, a fixed byte budget, so
-its memory is n x slab whatever the permutation count: power replicates,
-``permutation_cutoff`` and gene ranking; an FDR simulation's two columns
-(the response and one permutation) are one slab.  Ranking scores each
-gene's observed statistic on its own first, then keeps only a running count
-of the permuted statistics that reach it.
+``_permutation_slabs`` is the one place permutations are drawn, of the
+unit response (``core_stats._unit_response``), which a permutation keeps
+centred with unit norm, so no slab is centred again.  ``_scored_slabs`` is
+the one loop that scores them, slab by slab, in bounded memory: power
+replicates and ``permutation_cutoff`` concatenate one gene's statistics
+over it (``_response_stats``), and a ranking chunk counts, per gene, the
+permuted statistics that reach its observed one.  An FDR simulation's two
+columns (the response and one permutation) are one slab, scored by
+``_stats_for_columns``.
 
 Marginal scores reach HC, HCm and DT on the N(0, 1) scale: their p-values
 are the two-sided normal tail, t scores included, which permutation
@@ -49,13 +46,10 @@ calibration absorbs (``core_stats.marginal_stats`` alone reads t scores on
 the t(n - 2) scale).
 
 Replicates draw fresh genotypes and fresh signal placements, all in
-``_draw_replicate``, which ``rareweak simulate`` calls too, so that it
-writes what a power replicate scores.  Each replicate's seeds derive from
-the master seed and the replicate index, so results are identical however
-replicates are split across workers.  ``_run_chunked`` is the one place work
-is split: each pool process gets the panel and the other arguments once, and
-a job is only its item bounds; ranking cuts its genes into chunks of equal
-gathered-column counts, as nearly as whole genes allow.
+``_draw_replicate``, which ``rareweak simulate`` calls too.  Each
+replicate's seeds derive from the master seed and the replicate index, so
+results are identical however ``_run_chunked``, the one place work is
+split, spreads replicates over workers.
 """
 
 from __future__ import annotations
@@ -248,20 +242,15 @@ def _block_stats(block: _Block, rho: np.ndarray, n: int,
 
 def _stats_for_columns(X: np.ndarray, Y: np.ndarray, trait_kind: str,
                        needs: tuple[str, ...]) -> dict[str, np.ndarray]:
-    """Set-level statistics for every response column in Y.
-
-    X is the (n, L) panel shared by all columns; Y is (n, m) unit responses
-    (``core_stats._unit_response``).  Returns, per requested method, the m
-    exceedance-oriented statistics.  This is the one-gene case of the block
-    scorer that ranking runs on many genes at once (see ``_gene_chunk``).
-    """
+    """Per requested method, the m exceedance-oriented statistics of the
+    (n, L) panel X on each of the (n, m) unit responses Y: the one-gene,
+    one-slab case of ``_scored_slabs``."""
     block = _prepared_block(X, (slice(None),), trait_kind, needs)
     stats = _block_stats(block, _correlations(block.Z, Y), X.shape[0], needs)
     return {name: gene[0] for name, gene in stats.items()}
 
 
-# bytes of one slab of permuted responses: a ranking worker or a cutoff holds
-# an (n, _slab_width(n)) block, however many permutations it draws
+# bytes of one slab of permuted responses (see _scored_slabs)
 _SLAB_BYTES = 16 * 2**20
 
 
@@ -272,8 +261,7 @@ def _slab_width(n: int) -> int:
 def _permutation_slabs(u: np.ndarray, n_perms: int, seed: int, width: int, lead: bool):
     """n_perms permutations of the unit response u from the permutation
     stream of ``seed``, after u itself when ``lead``, as (n, <= width) blocks
-    in draw order.  Blocks are drawn lazily, one at a time, and none is kept
-    here once yielded, so a caller that drops a block frees it."""
+    in draw order, drawn lazily and not kept here once yielded."""
     n = u.size
     perm_rng = substream(seed, TAG_PERMUTE)
     total = lead + n_perms
@@ -289,6 +277,29 @@ def _permutation_slabs(u: np.ndarray, n_perms: int, seed: int, width: int, lead:
         yield slab(start)  # never bound here: the caller's reference is the only one
 
 
+def _scored_slabs(block: _Block, u: np.ndarray, n_perms: int, seed: int, lead: bool, needs: tuple[str, ...]):
+    """``_block_stats`` of the (n, W) block against each slab Y of
+    ``_permutation_slabs(u, n_perms, seed, _slab_width(n), lead)``, in draw
+    order, each from one product rho = Z' Y.
+
+    Each slab is freed once its product is taken, each product once it is
+    scored, and no yielded statistics are kept here, so a caller that drops
+    them holds Z, one (n, _slab_width(n)) slab and one (W, slab) product at
+    a time, whatever n_perms is.  A slab's statistics do not depend on its
+    width, except that a trailing slab of one column is scored by a
+    matrix-vector product, whose rounding can differ in the last bits (one
+    null moved by 1.6e-14 relative in a probe).
+    """
+    n = u.size
+    for Y in _permutation_slabs(u, n_perms, seed, _slab_width(n), lead):
+        rho = _correlations(block.Z, Y)
+        del Y
+        stats = _block_stats(block, rho, n, needs)
+        del rho
+        yield stats
+        del stats
+
+
 def _draw_replicate(scenario: Scenario, seed: int) -> tuple[GenotypeMatrix, Phenotype, SignalConfig]:
     """The panel, response and signal of one replicate of ``scenario``,
     drawn from ``seed``: what a power replicate scores and what
@@ -302,22 +313,21 @@ def _draw_replicate(scenario: Scenario, seed: int) -> tuple[GenotypeMatrix, Phen
     return X, y, signal
 
 
+def _response_stats(X: np.ndarray, y: np.ndarray, trait_kind: str, needs: tuple[str, ...],
+                    n_perms: int, seed: int) -> dict[str, np.ndarray]:
+    """Per requested method, the statistic of panel X on y (entry 0) and on n_perms
+    permutations of it, with X prepared once, scored by ``_scored_slabs``."""
+    u = _unit_response(y)
+    block = _prepared_block(X, (slice(None),), trait_kind, needs)
+    stats = list(_scored_slabs(block, u, n_perms, seed, True, needs))
+    return {name: np.concatenate([s[name][0] for s in stats]) for name in needs}
+
+
 def _replicate_stats(scenario: Scenario, needs: tuple[str, ...], rep_seed: int,
                      n_perms: int) -> dict[str, np.ndarray]:
-    """Observed-plus-permuted statistics for one replicate.
-
-    Column 0 of each returned array is the observed statistic; columns
-    1..n_perms come from permuted responses, scored slab by slab, so a
-    replicate holds one (n, _slab_width(n)) block.  A slab's statistics do
-    not depend on its width, except that a trailing slab of one column is
-    scored by a matrix-vector product, whose rounding can differ in the last
-    bits (one null moved by 1.6e-14 relative in a probe).
-    """
+    """One replicate's observed (column 0) and n_perms permuted statistics."""
     X, y, _ = _draw_replicate(scenario, rep_seed)
-    slabs = _permutation_slabs(_unit_response(y.values), n_perms, rep_seed,
-                               _slab_width(y.n), True)
-    stats = [_stats_for_columns(X.entries, Y, scenario.trait_kind, needs) for Y in slabs]
-    return {name: np.concatenate([s[name] for s in stats]) for name in needs}
+    return _response_stats(X.entries, y.values, scenario.trait_kind, needs, n_perms, rep_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -348,14 +358,9 @@ def permutation_cutoff(method: str, X, y, n_perms: int, level: float,
             f"need at least {int(np.ceil(20.0 / level))} permutations at level {level}, got {n_perms}")
     Xa, yv, kind = validated_inputs(X, y)
     needs = _as_methods([method], kind)
-    name = needs[0]
     with one_thread():
-        block = _prepared_block(Xa, (slice(None),), kind, needs)
-        # scored slab by slab: only the 1-D statistics are pooled
-        stats = [_block_stats(block, _correlations(block.Z, Y), yv.size, needs)[name][0]
-                 for Y in _permutation_slabs(_unit_response(yv), n_perms, seed,
-                                             _slab_width(yv.size), True)]
-    return _pooled_cutoff(np.concatenate(stats)[1:], level)
+        stats = _response_stats(Xa, yv, kind, needs, n_perms, seed)[needs[0]]
+    return _pooled_cutoff(stats[1:], level)
 
 
 @dataclass(frozen=True)
@@ -615,11 +620,9 @@ def _gene_chunk(X: np.ndarray, y: np.ndarray, n_perms: int, seed: int, gene_slic
     Each gene's observed statistic comes from one product of its own columns
     with the unit response, so it depends on those columns and y alone,
     whatever the chunk or the worker count, and equals
-    ``gene_set_statistics``.  The chunk then draws the shared permutations
-    itself, in slabs of ``_slab_width(n)`` columns, and scores each slab
-    with one product rho = Z' Y; a |rho| of 1 raises naming the panel
-    column.  It holds one (n, slab) block, Z and one (W, slab) product,
-    whatever n_perms is.
+    ``gene_set_statistics``.  The chunk then scores the shared permutations
+    against the whole block (``_scored_slabs``); a |rho| of 1 raises naming
+    the panel column.
 
     A permuted statistic t reaches the observed t0 when
     t >= t0 - _TIE_RTOL * max(1, |t0|).  On case/control panels many
@@ -635,22 +638,19 @@ def _gene_chunk(X: np.ndarray, y: np.ndarray, n_perms: int, seed: int, gene_slic
     cols = np.concatenate(genes)
     ends = np.cumsum([g.size for g in genes])
     spans = [slice(end - g.size, end) for g, end in zip(genes, ends)]
-    n = y.size
     u = _unit_response(y)
     Z = X[:, cols]  # one gathered copy, standardised in place
     exceed = {name: np.zeros(len(genes), dtype=np.int64) for name in needs}
     try:
         block = _prepared_block(Z, spans, trait_kind, needs, out=Z)
         rho = np.concatenate([_correlations(Z[:, s], u[:, None]) for s in spans])
-        stats = _block_stats(block, rho, n, needs)
+        stats = _block_stats(block, rho, u.size, needs)
         observed = {name: stats[name][:, 0] for name in needs}
         reach = {name: t0 - _TIE_RTOL * np.maximum(1.0, np.abs(t0)) for name, t0 in observed.items()}
-        for Y in _permutation_slabs(u, n_perms, seed, _slab_width(n), False):
-            rho = _correlations(Z, Y)
-            del Y  # freed before the product is scored and the next slab drawn
-            for name, permuted in _block_stats(block, rho, n, needs).items():
+        for stats in _scored_slabs(block, u, n_perms, seed, False, needs):
+            for name, permuted in stats.items():
                 exceed[name] += np.count_nonzero(permuted >= reach[name][:, None], axis=1)
-            del rho, permuted  # so that the next product is taken with these freed
+            del stats, permuted  # freed before the next slab is drawn
     except (ConstantColumnError, MonomorphicColumnError, DegenerateCorrelationError) as e:
         # re-raised under the panel column that its position in Z stands for
         raise type(e)(int(cols[e.index])) from None

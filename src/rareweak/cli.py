@@ -110,11 +110,15 @@ def _parse_float_list(s: str) -> list[float]:
         if count < 2:
             raise ConfigError(f"grid needs at least 2 points, got {count}")
         return [float(v) for v in np.linspace(start, stop, count)]
-    return [_parse_float(p) for p in s.split(",") if p.strip()]
+    return [_parse_float(p) for p in _parse_str_list(s)]
 
 
 def _parse_str_list(s: str) -> list[str]:
-    return [p.strip() for p in s.split(",") if p.strip()]
+    """Comma list of at least one non-blank item, each stripped."""
+    items = [p.strip() for p in s.split(",") if p.strip()]
+    if not items:
+        raise ConfigError(f"expected a comma list of at least one value, got {s!r}")
+    return items
 
 
 def _parse_ld_one(s: str) -> LdSpec:

@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -337,6 +338,12 @@ def test_duplicate_methods_rejected():
 
 
 # --- power --------------------------------------------------------------------
+
+
+def test_a_negative_seed_is_a_config_error():
+    with pytest.raises(ConfigError, match="non-negative"):
+        empirical_power(["HC"], quick_scenario(L=8, n=60), n_sims=100, level=0.05, seed=-1,
+                        perms_per_sim=4)
 
 
 def test_power_requires_minimum_scale():
@@ -759,11 +766,42 @@ def test_no_kernel_call_sees_more_than_one_slab(monkeypatch):
     seen.clear()
     permutation_cutoff("LCT", X, y, n_perms=10_000, level=0.05, seed=3)
     assert max(seen) <= width and sum(seen) == 10_001
-    # a power replicate whose 1 + P responses span two slabs
+    # a power replicate whose 1 + P responses span two slabs prepares its panel once
     seen.clear()
+    prepared = []
+    prepare = bench._prepared_block
+    monkeypatch.setattr(bench, "_prepared_block",
+                        lambda *args, **kwargs: prepared.append(1) or prepare(*args, **kwargs))
     empirical_power(["HC", "QT"], quick_scenario(L=8, n=120), n_sims=100, level=0.05,
                     seed=3, perms_per_sim=1000)
     assert max(seen) <= width and sum(seen) == 100 * 1001 and len(seen) == 200
+    assert len(prepared) == 100
+
+
+# (n, genes, SNPs per gene, methods): the first makes the product large next
+# to the statistics, so a slab or product kept a slab too long shows; the
+# second makes the statistics large next to the slab, so statistics kept
+# while the next slab is scored show
+@pytest.mark.parametrize("n, n_genes, size, methods", [
+    (400, 15, 4, ("HC",)),
+    (200, 40, 1, METHOD_NAMES),
+])
+def test_a_ranking_chunk_holds_one_slab_at_a_time(monkeypatch, n, n_genes, size, methods):
+    width, n_perms = 500, 1500  # three slabs
+    _slab_columns(monkeypatch, n, width)
+    X, y = rank_panel(seed=83, n=n, L=n_genes * size)
+    slices = tuple(np.arange(g * size, (g + 1) * size) for g in range(n_genes))
+    tracemalloc.start()
+    try:
+        bench._gene_chunk(X, y, n_perms, 3, slices, "quantitative", methods, 0, n_genes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    W = n_genes * size
+    # Z, one slab, one product and one slab's statistics, plus 64 KiB for a
+    # permutation's index, its gathered copy and the interpreter's own objects
+    bound = 8 * (n * W + n * width + W * width + n_genes * width * len(methods)) + 2**16
+    assert peak <= bound
 
 
 def test_slab_width_follows_the_byte_budget():

@@ -788,6 +788,59 @@ def _one_payload(capsys):
     return payloads[0]
 
 
+_POWER_BASE = ("scenario.L = 10\nscenario.n = 50\nscenario.q = 0.4\nscenario.k = 2\n"
+               "scenario.beta = 0.5\nexecution.n_sims = 100\nexecution.perms_per_sim = 4\n")
+_BOUNDARY_BASE = "scenario.L = 100\nscenario.q = 0.4\nscenario.n = 1000\n"
+_FDR_BASE = _POWER_BASE + "fdr.n_genes = 4\nfdr.n_signal_genes = 1\n"
+
+
+def _without(base, key):
+    return "".join(ln + "\n" for ln in base.splitlines() if not ln.startswith(key))
+
+
+# every key that _parse_float_list or _parse_str_list reads, with a command that reads it
+_LIST_KEYS = [
+    ("power", "scenario.r", _without(_POWER_BASE, "scenario.beta").replace(
+        "scenario.k = 2", "scenario.alpha = 0.76")),
+    ("power", "scenario.beta", _without(_POWER_BASE, "scenario.beta")),
+    ("power", "scenario.ld", _POWER_BASE),
+    ("power", "analysis.methods", _POWER_BASE),
+    ("boundary", "boundary.alphas", _BOUNDARY_BASE),
+    ("boundary", "boundary.modes", _BOUNDARY_BASE),
+    ("fdr", "fdr.levels", _FDR_BASE),
+    ("rank", "rank.target_genes", None),
+]
+
+
+def test_the_empty_list_cases_cover_every_list_key():
+    parsers = {cli._parse_float_list, cli._parse_str_list, cli._parse_ld_list}
+    assert {k for k, f in cli._KNOWN_KEYS.items() if f in parsers} == {k for _, k, _ in _LIST_KEYS}
+
+
+@pytest.mark.parametrize("command,key,base", _LIST_KEYS, ids=[key for _, key, _ in _LIST_KEYS])
+@pytest.mark.parametrize("value", ["", " , "], ids=["empty", "blank_items"])
+def test_an_empty_list_value_exits_2_naming_the_key(tmp_path, capsys, command, key, base, value):
+    if base is None:
+        cfg = _panel_files(tmp_path, [f"{v:.6f}" for v in np.random.default_rng(5).normal(size=40)])
+        base = Path(cfg).read_text(encoding="utf-8")
+    cfg = write(tmp_path / "e.cfg", f"{base}{key} ={value}\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    payload = _one_payload(capsys)
+    assert payload["error"] == "ConfigError" and payload["message"].startswith(f"{key}: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "power"])
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_a_negative_seed_exits_2_with_one_json_line(tmp_path, capsys, command, where):
+    cfg = write(tmp_path / "s.cfg", _POWER_BASE + ("execution.seed = -1\n" if where == "config" else ""))
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "out")]
+    assert main(argv + (["--seed", "-1"] if where == "flag" else [])) == 2
+    assert _one_payload(capsys) == {"error": "ConfigError", "exit_code": 2,
+                                    "message": "seed must be a non-negative integer, got -1"}
+    assert not (tmp_path / "out").exists()
+
+
 def _stray_quote_in_phenotype(tmp_path):
     cells = [f"{v:.6f}" for v in np.random.default_rng(5).normal(size=40)]
     cells[2] = '"1.5"3'                    # the lenient dialect read 1.53

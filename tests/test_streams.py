@@ -143,16 +143,21 @@ def test_simulate_writes_what_a_power_replicate_scores(tmp_path, monkeypatch, na
     X = np.loadtxt(out / "genotypes.csv", delimiter=",", skiprows=1, ndmin=2)
     y = np.loadtxt(out / "phenotype.csv", delimiter=",", skiprows=1)
     scenario, = cli._scenarios_from_cfg(cli.load_config(str(tmp_path / f"{name}.cfg")))
-    seen = []
-    real = bench._stats_for_columns
+    panels, responses = [], []
+    prepare, draw = bench._prepared_block, bench._permutation_slabs
 
-    def recorder(Xr, Y, trait_kind, needs):
-        seen.append((Xr, Y[:, 0]))
-        return real(Xr, Y, trait_kind, needs)
+    def panel_recorder(Xr, *args, **kwargs):
+        panels.append(Xr)
+        return prepare(Xr, *args, **kwargs)
 
-    monkeypatch.setattr(bench, "_stats_for_columns", recorder)
+    def response_recorder(u, *args):
+        responses.append(u)
+        return draw(u, *args)
+
+    monkeypatch.setattr(bench, "_prepared_block", panel_recorder)
+    monkeypatch.setattr(bench, "_permutation_slabs", response_recorder)
     bench._replicate_stats(scenario, frozenset({"HC"}), SEED, 1)
-    (Xr, u), = seen
+    (Xr,), (u,) = panels, responses
     assert Xr.tobytes() == X.tobytes()
     assert u.tobytes() == _unit_response(y).tobytes()
 
