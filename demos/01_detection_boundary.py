@@ -10,7 +10,6 @@ heritability units at the benchmark panel size.
 import numpy as np
 
 from rareweak import (
-    ArwScenario,
     beta_from_r,
     classify_regime,
     detection_boundary,
@@ -31,8 +30,7 @@ def main():
         k = signal_count(L, alpha)
         r_star = detection_boundary(alpha)
         r_mp = minp_boundary(alpha)
-        scn = ArwScenario(L=L, alpha=alpha, r=max(r_star, 1e-9), sigma=SIGMA, q=Q, n=N)
-        beta = beta_from_r(scn)
+        beta = beta_from_r(r_star, L, N, Q, SIGMA)
         h2 = heritability(np.full(k, beta), Q, SIGMA)
         gap = "" if r_mp - r_star < 1e-12 else "   <- min-p needs more"
         print(f"{alpha:6.2f} {k:4d} {r_star:9.4f} {r_mp:10.4f} "

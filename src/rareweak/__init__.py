@@ -30,7 +30,6 @@ from .bench import (
     ranking_csv,
 )
 from .boundary import (
-    ArwScenario,
     BoundaryCurve,
     PhasePoint,
     beta_from_r,
@@ -56,7 +55,6 @@ from .core_stats import (
     zscores_known_sigma,
 )
 from .detectors import (
-    EmpiricalCorrelation,
     HcResult,
     bh_select,
     check_row_sparsity,
@@ -137,12 +135,12 @@ __all__ = [
     "zscores_from_correlation", "tstats_from_correlation",
     "case_control_zscores", "pvalues_two_sided", "normal_sf",
     # detectors
-    "HcResult", "EmpiricalCorrelation", "higher_criticism",
+    "HcResult", "higher_criticism",
     "hc_threshold_scan", "hc_discretized", "hc_grid_start", "min_pvalue",
     "bh_select", "empirical_correlation", "linear_combination_test",
     "quadratic_test", "decorrelation_test", "cholesky_lower", "check_row_sparsity",
     # boundary
-    "ArwScenario", "PhasePoint", "BoundaryCurve", "detection_boundary",
+    "PhasePoint", "BoundaryCurve", "detection_boundary",
     "minp_boundary", "beta_from_r", "r_from_beta", "heritability",
     "signal_count", "classify_regime", "boundary_curve",
     # simgen

@@ -139,6 +139,9 @@ class Scenario:
     def __post_init__(self):
         if self.L < 2:
             raise BadSampleSizeError(f"need L >= 2, got {self.L}")
+        if np.ndim(self.q):
+            raise DimensionMismatchError(f"allele frequency must be a scalar, "
+                                         f"got shape {np.shape(self.q)}")
         if not (0.0 < self.q < 1.0):
             raise NonFiniteInputError(f"allele frequency must lie in (0, 1), got {self.q!r}")
         if self.base_beta < 0.0:
@@ -167,11 +170,8 @@ class Scenario:
                       r: float, ld: LdSpec, scheme: CoefficientScheme | None = None) -> "Scenario":
         """Calibrated additive scenario: rarity alpha fixes the signal count,
         strength r fixes the coefficient (see ``boundary.beta_from_r``)."""
-        from .boundary import ArwScenario
-
-        arw = ArwScenario(L=L, alpha=alpha, r=r, sigma=sigma, q=q, n=n)
         return cls(L=L, q=q, ld=ld, trait=TraitModel.additive(sigma),
-                   n_signals=signal_count(L, alpha), base_beta=float(beta_from_r(arw)),
+                   n_signals=signal_count(L, alpha), base_beta=beta_from_r(r, L, n, q, sigma),
                    scheme=scheme or CoefficientScheme.fixed(), n=n, r=float(r))
 
     def null(self) -> "Scenario":

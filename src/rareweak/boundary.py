@@ -1,20 +1,20 @@
-"""Rare/weak calibration: scenario parameters, effect sizes, and the
-detectability boundary.
+"""Rare/weak calibration: effect sizes and the detectability boundary.
 
-A scenario couples the panel width L to everything else through two
+Calibration couples the panel width L to everything else through two
 exponents: ``alpha`` in (1/2, 1) sets how rare the signal is (about
-L^(1-alpha) non-null columns) and ``r`` > 0 sets how strong each non-null
-effect is on the noise scale.  ``beta_from_r`` translates the strength
-exponent into a regression coefficient for given sample size, allele
-frequency, and noise sd; ``detection_boundary`` gives the exact threshold
-curve in (alpha, r) separating detectable from undetectable sparse signals,
-and ``minp_boundary`` the strictly higher curve at which the max-based test
+L^(1-alpha) non-null columns, ``signal_count``) and ``r`` > 0 sets how
+strong each non-null effect is on the noise scale.  ``beta_from_r``
+translates the strength exponent into a regression coefficient for given
+panel width, sample size, allele frequency, and noise sd;
+``detection_boundary`` gives the exact threshold curve in (alpha, r)
+separating detectable from undetectable sparse signals, and
+``minp_boundary`` the strictly higher curve at which the max-based test
 starts to work.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Literal, Sequence
 
 import numpy as np
@@ -69,67 +69,45 @@ def signal_count(L: int, alpha: float) -> int:
     return max(1, int(np.floor(L ** (1.0 - a) + 0.5)))
 
 
-@dataclass(frozen=True)
-class ArwScenario:
-    """Calibrated scenario: panel width, sample size, rarity, strength.
-
-    Exactly one of ``n`` (explicit sample size) or ``a`` (growth exponent,
-    n = round(L^a)) must be given.  ``a`` only sets ``n`` at construction and
-    is not kept, so ``dataclasses.replace`` keeps the sample size.  ``r`` and
-    ``q`` may be scalars or per-signal / per-column arrays.
-    """
-
-    L: int
-    alpha: float
-    r: float | np.ndarray
-    sigma: float = 1.0
-    q: float | np.ndarray = 0.5
-    n: int | None = None
-    a: InitVar[float | None] = None
-
-    def __post_init__(self, a: float | None):
-        if self.L < 2:
-            raise BadSampleSizeError(f"need L >= 2, got {self.L}")
-        _check_alpha(self.alpha)
-        if (self.n is None) == (a is None):
-            raise DimensionMismatchError("give exactly one of n or a")
-        if self.n is None:
-            object.__setattr__(self, "n", max(2, int(np.floor(self.L ** float(a) + 0.5))))
-        if self.n < 2:
-            raise BadSampleSizeError(f"need n >= 2, got {self.n}")
-        r = np.asarray(self.r, dtype=np.float64)
-        if not np.all(np.isfinite(r)) or np.any(r <= 0.0):
-            raise NonFiniteInputError("strength exponent r must be positive and finite")
-        if not np.isfinite(self.sigma) or self.sigma <= 0.0:
-            raise NonPositiveSigmaError(f"sigma must be positive, got {self.sigma!r}")
-        q = np.asarray(self.q, dtype=np.float64)
-        if not np.all(np.isfinite(q)) or np.any(q <= 0.0) or np.any(q >= 1.0):
-            raise NonFiniteInputError("allele frequency q must lie in (0, 1)")
-
-    @property
-    def K(self) -> int:
-        return signal_count(self.L, self.alpha)
+def _check_panel(L: int, n: int, q, sigma: float) -> None:
+    """Check the panel a strength exponent is calibrated on: L >= 2 columns,
+    n >= 2 samples, noise sd sigma > 0, and allele frequency q (a scalar or
+    per-signal array) in (0, 1)."""
+    if L < 2:
+        raise BadSampleSizeError(f"need L >= 2, got {L}")
+    if n < 2:
+        raise BadSampleSizeError(f"need n >= 2, got {n}")
+    if not np.isfinite(sigma) or sigma <= 0.0:
+        raise NonPositiveSigmaError(f"sigma must be positive, got {sigma!r}")
+    qa = np.asarray(q, dtype=np.float64)
+    if not np.all(np.isfinite(qa)) or np.any(qa <= 0.0) or np.any(qa >= 1.0):
+        raise NonFiniteInputError("allele frequency q must lie in (0, 1)")
 
 
-def beta_from_r(scenario: ArwScenario):
-    """Per-signal regression coefficient implied by strength exponent r.
+def beta_from_r(r, L: int, n: int, q=0.5, sigma: float = 1.0):
+    """Per-signal regression coefficient implied by strength exponent r on
+    a panel of L columns and n samples.
 
     beta = sigma * sqrt(2 r log L) / sqrt(2 n q (1 - q)), natural log.
     Scalar inputs give a scalar, array-valued r or q an array.
     """
-    r = np.asarray(scenario.r, dtype=np.float64)
-    q = np.asarray(scenario.q, dtype=np.float64)
-    tau = np.sqrt(2.0 * r * np.log(scenario.L))
-    beta = scenario.sigma * tau / np.sqrt(2.0 * scenario.n * q * (1.0 - q))
+    _check_panel(L, n, q, sigma)
+    r = np.asarray(r, dtype=np.float64)
+    if not np.all(np.isfinite(r)) or np.any(r <= 0.0):
+        raise NonFiniteInputError("strength exponent r must be positive and finite")
+    q = np.asarray(q, dtype=np.float64)
+    tau = np.sqrt(2.0 * r * np.log(L))
+    beta = sigma * tau / np.sqrt(2.0 * n * q * (1.0 - q))
     return beta if beta.ndim else float(beta)
 
 
-def r_from_beta(scenario: ArwScenario, beta):
-    """Inverse of ``beta_from_r`` for the same scenario."""
-    q = np.asarray(scenario.q, dtype=np.float64)
+def r_from_beta(beta, L: int, n: int, q=0.5, sigma: float = 1.0):
+    """Inverse of ``beta_from_r`` on the same panel."""
+    _check_panel(L, n, q, sigma)
+    q = np.asarray(q, dtype=np.float64)
     b = np.asarray(beta, dtype=np.float64)
-    tau_sq = b * b * 2.0 * scenario.n * q * (1.0 - q) / (scenario.sigma ** 2)
-    r = tau_sq / (2.0 * np.log(scenario.L))
+    tau_sq = b * b * 2.0 * n * q * (1.0 - q) / (sigma ** 2)
+    r = tau_sq / (2.0 * np.log(L))
     return r if r.ndim else float(r)
 
 
@@ -193,25 +171,26 @@ class BoundaryCurve:
                    float(self.beta[i]), float(self.heritability[i]))
 
 
-def boundary_curve(alphas: Sequence[float], mode: CurveMode,
-                   scenario: ArwScenario) -> BoundaryCurve:
+def boundary_curve(alphas: Sequence[float], mode: CurveMode, L: int, n: int, q: float,
+                   sigma: float = 1.0) -> BoundaryCurve:
     """Sample a boundary curve and translate it into effect-size units.
 
     At each grid point the strength exponent on the requested curve is
-    converted to a coefficient via the scenario's (L, n, q, sigma), and the
+    converted to a coefficient on the panel (L, n, q, sigma), and the
     variance explained assumes signal_count(L, alpha) equal signals.
     """
+    _check_panel(L, n, q, sigma)
     if mode not in ("optimal", "minp"):
         raise DimensionMismatchError(f"unknown curve mode {mode!r}")
     grid = np.asarray(list(alphas), dtype=np.float64)
     if grid.size == 0:
         raise DimensionMismatchError("alpha grid is empty")
     edge_fn = detection_boundary if mode == "optimal" else minp_boundary
-    if np.ndim(scenario.q):
+    if np.ndim(q):
         raise DimensionMismatchError("boundary_curve needs a scalar allele frequency")
-    q = float(scenario.q)
+    q = float(q)
     r_vals = np.array([edge_fn(float(a)) for a in grid])
-    beta_vals = beta_from_r(replace(scenario, r=r_vals))
-    h_vals = np.array([heritability(np.full(signal_count(scenario.L, float(a)), b), q, scenario.sigma)
+    beta_vals = beta_from_r(r_vals, L, n, q, sigma)
+    h_vals = np.array([heritability(np.full(signal_count(L, float(a)), b), q, sigma)
                        for a, b in zip(grid, beta_vals)])
     return BoundaryCurve(mode=mode, alpha=grid, r=r_vals, beta=beta_vals, heritability=h_vals)

@@ -61,7 +61,7 @@ from .bench import (
     rank_gene_sets,
     ranking_csv,
 )
-from .boundary import ArwScenario, boundary_curve
+from .boundary import boundary_curve
 from .core_stats import GenotypeMatrix, Phenotype, marginal_stats
 from .errors import (
     AllColumnsDroppedError,
@@ -618,12 +618,11 @@ def _cmd_boundary(cfg: Config, seed: int, workers: int) -> tuple[dict[str, str],
     for m in modes:
         if m not in ("optimal", "minp"):
             raise ConfigError(f"boundary.modes entries must be optimal or minp, got {m!r}")
-    scn = ArwScenario(L=cfg.get("scenario.L"), alpha=float(alphas[0]), r=1.0,
-                      sigma=cfg.get("scenario.sigma", "1.0"), q=cfg.get("scenario.q"),
-                      n=cfg.get("scenario.n"))
+    panel = (cfg.get("scenario.L"), cfg.get("scenario.n"), cfg.get("scenario.q"),
+             cfg.get("scenario.sigma", "1.0"))
     rows = []
     for mode in modes:
-        curve = boundary_curve(alphas, mode, scn)
+        curve = boundary_curve(alphas, mode, *panel)
         rows += [(a, r, b, h, mode) for a, r, b, h in curve.rows()]
     return {"boundary": csv_text(("alpha", "r", "beta", "heritability", "mode"), rows)}, {}
 

@@ -201,24 +201,6 @@ def bh_select(pvalues, alpha_fdr: float) -> int:
 # covariance-aware aggregate tests
 
 
-@dataclass(frozen=True)
-class EmpiricalCorrelation:
-    """Validated column-correlation matrix (symmetric, unit diagonal); a
-    non-square or asymmetric one raises ``NotSquareError``."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = _as_square(self.matrix)
-        if not np.allclose(m, m.T, atol=1e-12, rtol=0.0):
-            raise NotSquareError("correlation matrix must be symmetric")
-        if not np.allclose(np.diag(m), 1.0, atol=1e-12, rtol=0.0):
-            raise NonFiniteInputError("correlation matrix must have unit diagonal")
-        if np.any(np.abs(m) > 1.0 + 1e-12):
-            raise NonFiniteInputError("correlation entries must lie in [-1, 1]")
-        object.__setattr__(self, "matrix", m)
-
-
 def _correlation_matrix(Z: np.ndarray) -> np.ndarray:
     """Column correlations Z' Z of a standardised panel (``core_stats._standardised``),
     clipped into [-1, 1], with an exact unit diagonal."""
@@ -228,16 +210,14 @@ def _correlation_matrix(Z: np.ndarray) -> np.ndarray:
     return m
 
 
-def empirical_correlation(X) -> EmpiricalCorrelation:
+def empirical_correlation(X) -> np.ndarray:
     """Pearson correlations among the columns of a panel."""
     Z, _ = _standardised(as_genotype_matrix(X).entries)
-    return EmpiricalCorrelation(matrix=_correlation_matrix(Z))
+    return _correlation_matrix(Z)
 
 
-def _as_square(sigma_hat) -> np.ndarray:
-    if isinstance(sigma_hat, EmpiricalCorrelation):
-        return sigma_hat.matrix
-    m = np.asarray(sigma_hat, dtype=np.float64)
+def _as_square(matrix) -> np.ndarray:
+    m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotSquareError(f"matrix must be square, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -245,9 +225,29 @@ def _as_square(sigma_hat) -> np.ndarray:
     return m
 
 
+def _as_symmetric(matrix) -> np.ndarray:
+    """A finite square matrix equal to its transpose within 1e-12 of its
+    largest |entry|; else ``NotSquareError``."""
+    m = _as_square(matrix)
+    if m.size and np.abs(m - m.T).max() > 1e-12 * np.abs(m).max():
+        raise NotSquareError("matrix must be symmetric")
+    return m
+
+
+def _as_correlation(matrix) -> np.ndarray:
+    """A symmetric matrix with unit diagonal and entries in [-1, 1]."""
+    m = _as_symmetric(matrix)
+    if not np.allclose(np.diag(m), 1.0, atol=1e-12, rtol=0.0):
+        raise NonFiniteInputError("correlation matrix must have unit diagonal")
+    if np.any(np.abs(m) > 1.0 + 1e-12):
+        raise NonFiniteInputError("correlation entries must lie in [-1, 1]")
+    return m
+
+
 def _as_test_inputs(S, sigma_hat) -> tuple[np.ndarray, np.ndarray]:
-    """Validated (L, 1) score column and (L, L) matrix of a covariance-aware test."""
-    m = _as_square(sigma_hat)
+    """Validated (L, 1) score column and (L, L) symmetric matrix of a
+    covariance-aware test."""
+    m = _as_symmetric(sigma_hat)
     s = np.asarray(S, dtype=np.float64).ravel()
     if s.size != m.shape[0]:
         raise DimensionMismatchError(f"score length {s.size} != matrix dimension {m.shape[0]}")
@@ -327,7 +327,7 @@ def check_row_sparsity(sigma_hat, threshold: float, max_per_row: int) -> Sparsit
     The covariance-aware tests stay honest only when the correlation matrix
     is sparse in this row-wise sense; use this as a pre-flight check.
     """
-    m = _as_square(sigma_hat)
+    m = _as_symmetric(sigma_hat)
     if threshold < 0.0 or not np.isfinite(threshold):
         raise BadRangeError(f"threshold must be a finite non-negative real, got {threshold!r}")
     if max_per_row < 0:

@@ -45,7 +45,7 @@ from ._rng import (
     substream,
 )
 from .core_stats import GenotypeMatrix, Phenotype
-from .detectors import EmpiricalCorrelation, cholesky_lower
+from .detectors import _as_correlation, cholesky_lower
 from .errors import (
     BadKError,
     BadSampleSizeError,
@@ -71,8 +71,8 @@ class LdSpec:
 
     kinds: ``identity``; ``toeplitz_banded`` (band k of the Toeplitz target
     is ``bands[k-1]``, zero beyond); ``poly_decay`` (off-diagonal (j, k) is
-    scale * (1 + |j-k|)^-decay); ``explicit`` (a full matrix, checked as an
-    ``EmpiricalCorrelation``).
+    scale * (1 + |j-k|)^-decay); ``explicit`` (a full matrix, checked to be
+    symmetric with unit diagonal and entries in [-1, 1]).
     """
 
     kind: str
@@ -94,7 +94,7 @@ class LdSpec:
                 raise NonFiniteInputError(f"scale {self.scale!r} with decay {self.decay!r} "
                                           "puts the first off-diagonal at or above 1")
         elif self.kind == "explicit":
-            object.__setattr__(self, "matrix", EmpiricalCorrelation(self.matrix).matrix)
+            object.__setattr__(self, "matrix", _as_correlation(self.matrix))
         elif self.kind != "identity":
             raise ConfigError(f"unknown design kind {self.kind!r}")
 
@@ -293,6 +293,8 @@ def _latent_chol(spec: LdSpec, L: int, q: np.ndarray) -> np.ndarray:
 
 
 def _as_freqs(q, L: int) -> np.ndarray:
+    if L < 1:
+        raise DimensionMismatchError(f"need L >= 1, got {L}")
     qa = np.asarray(q, dtype=np.float64)
     if qa.ndim == 0:
         qa = np.full(L, float(qa))
@@ -303,37 +305,30 @@ def _as_freqs(q, L: int) -> np.ndarray:
     return qa
 
 
-def simulate_genotypes(n: int, q, ld, seed: int, L: int | None = None) -> GenotypeMatrix:
-    """Panel of n samples whose columns hit the design's correlation targets.
+def simulate_genotypes(n: int, q, ld: LdSpec, seed: int, L: int) -> GenotypeMatrix:
+    """Panel of n samples by L columns whose columns hit the design's
+    correlation targets.
 
-    ``ld`` is an :class:`LdSpec` or an explicit target correlation matrix,
-    which is read as ``LdSpec.explicit``; an explicit design's size is L when
-    L is not given, and any other L raises ``NotSquareError``.  ``q`` is a
-    scalar or per-column allele frequency.  Marginals are exactly
-    binomial(2, q_j) for correlated designs, and binomial(2, q_j rounded to
-    a multiple of 2^-32) for identity panels, which draw raw Philox words
-    (see the module docstring).  ``LdSpec.explicit(np.eye(L))`` takes the
-    correlated path, so it draws a different panel from ``identity``.
+    An explicit design (``LdSpec.explicit``) must be L x L, or
+    ``NotSquareError`` is raised.  ``q`` is a scalar or per-column allele
+    frequency.  Marginals are exactly binomial(2, q_j) for correlated
+    designs, and binomial(2, q_j rounded to a multiple of 2^-32) for
+    identity panels, which draw raw Philox words (see the module
+    docstring).  ``LdSpec.explicit(np.eye(L))`` takes the correlated path,
+    so it draws a different panel from ``identity``.
     """
     if n < 2:
         raise BadSampleSizeError(f"need n >= 2, got {n}")
-    spec = ld if isinstance(ld, LdSpec) else LdSpec.explicit(ld)
-    if L is None:
-        if spec.kind == "explicit":
-            L = spec.matrix.shape[0]
-        else:
-            qa = np.asarray(q, dtype=np.float64)
-            if qa.ndim == 0:
-                raise DimensionMismatchError("give L explicitly with a scalar q and an LdSpec")
-            L = qa.size
+    if not isinstance(ld, LdSpec):
+        raise ConfigError("ld must be an LdSpec; give a matrix as LdSpec.explicit(matrix)")
     qa = _as_freqs(q, L)
-    if spec.kind == "identity":
+    if ld.kind == "identity":
         # raw Philox words in the layout the module docstring gives
         words = substream(seed, TAG_GENOTYPE).bit_generator.random_raw(L * n).reshape(L, n)
         t = np.rint(qa * 2.0 ** 32).astype(np.uint64)[:, None]
         counts = np.add((words & 0xFFFFFFFF) < t, (words >> 32) < t, dtype=np.uint8)
         return GenotypeMatrix(entries=counts.T.astype(np.float64, order="C"))
-    chol = _latent_chol(spec, L, qa)
+    chol = _latent_chol(ld, L, qa)
 
     thresholds = ndtri(qa)  # allele present when latent value falls below
     gens = column_generators(seed, (TAG_GENOTYPE,), L)

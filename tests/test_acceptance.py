@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from rareweak import (
-    ArwScenario,
     Scenario,
     CoefficientScheme,
     LdSpec,
@@ -116,16 +115,16 @@ def fidelity():
 
 
 def test_criterion_01_effect_size_anchors(note):
-    lo = beta_from_r(ArwScenario(L=100, alpha=0.76, r=0.4, sigma=1.0, q=0.4, n=1000))
-    hi = beta_from_r(ArwScenario(L=100, alpha=0.76, r=0.9, sigma=1.0, q=0.4, n=1000))
+    lo = beta_from_r(0.4, L=100, n=1000, q=0.4, sigma=1.0)
+    hi = beta_from_r(0.9, L=100, n=1000, q=0.4, sigma=1.0)
     note(1, f"beta(r=0.4)={lo:.6f} (target 0.088), beta(r=0.9)={hi:.6f} (target 0.131)")
     assert abs(lo - 0.088) <= 0.0005
     assert abs(hi - 0.131) <= 0.0005
 
 
 def test_criterion_02_heritability_anchors(note):
-    lo = beta_from_r(ArwScenario(L=100, alpha=0.76, r=0.4, sigma=1.0, q=0.4, n=1000))
-    hi = beta_from_r(ArwScenario(L=100, alpha=0.76, r=0.9, sigma=1.0, q=0.4, n=1000))
+    lo = beta_from_r(0.4, L=100, n=1000, q=0.4, sigma=1.0)
+    hi = beta_from_r(0.9, L=100, n=1000, q=0.4, sigma=1.0)
     h_lo = heritability(np.full(3, lo), 0.4, 1.0)
     h_hi = heritability(np.full(3, hi), 0.4, 1.0)
     note(2, f"h2(low)={h_lo:.5f} (target 0.011), h2(high)={h_hi:.5f} (target 0.024)")

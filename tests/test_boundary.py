@@ -6,9 +6,10 @@ from hypothesis import given, strategies as st
 
 from rareweak import (
     AlphaOutOfRangeError,
-    ArwScenario,
     BadSampleSizeError,
     DimensionMismatchError,
+    NonFiniteInputError,
+    NonPositiveSigmaError,
     beta_from_r,
     boundary_curve,
     classify_regime,
@@ -27,7 +28,7 @@ BETA_R09 = 0.1314130442439233
 H2_R04 = 0.010931588070053705
 H2_R09 = 0.024264511107436167
 
-SCN = ArwScenario(L=100, alpha=0.76, r=0.4, sigma=1.0, q=0.4, n=1000)
+PANEL = dict(L=100, n=1000, q=0.4, sigma=1.0)
 
 
 def test_detection_boundary_sparse_branch():
@@ -90,9 +91,8 @@ def test_signal_count_rejects_bad_L():
 
 
 def test_beta_anchor_values():
-    assert beta_from_r(SCN) == pytest.approx(BETA_R04, abs=5e-13)
-    scn9 = ArwScenario(L=100, alpha=0.76, r=0.9, sigma=1.0, q=0.4, n=1000)
-    assert beta_from_r(scn9) == pytest.approx(BETA_R09, abs=5e-13)
+    assert beta_from_r(0.4, **PANEL) == pytest.approx(BETA_R04, abs=5e-13)
+    assert beta_from_r(0.9, **PANEL) == pytest.approx(BETA_R09, abs=5e-13)
 
 
 def test_heritability_anchor_values():
@@ -104,48 +104,44 @@ def test_heritability_anchor_values():
 
 def test_strength_round_trip():
     for r in (0.3, 0.55, 0.8, 1.2):
-        scn = ArwScenario(L=100, alpha=0.76, r=r, sigma=1.0, q=0.4, n=1000)
-        assert r_from_beta(scn, beta_from_r(scn)) == pytest.approx(r, abs=1e-12)
+        assert r_from_beta(beta_from_r(r, **PANEL), **PANEL) == pytest.approx(r, abs=1e-12)
 
 
 @given(r=st.floats(0.01, 4.0), q=st.floats(0.05, 0.95),
        sigma=st.floats(0.1, 10.0))
 def test_strength_round_trip_property(r, q, sigma):
-    scn = ArwScenario(L=500, alpha=0.7, r=r, sigma=sigma, q=q, n=2000)
-    assert r_from_beta(scn, beta_from_r(scn)) == pytest.approx(r, rel=1e-9)
+    beta = beta_from_r(r, L=500, n=2000, q=q, sigma=sigma)
+    assert r_from_beta(beta, L=500, n=2000, q=q, sigma=sigma) == pytest.approx(r, rel=1e-9)
 
 
 def test_beta_scales_with_sigma_and_sqrt_r():
-    base = beta_from_r(SCN)
-    scn2 = ArwScenario(L=100, alpha=0.76, r=0.4, sigma=2.0, q=0.4, n=1000)
-    assert beta_from_r(scn2) == pytest.approx(2.0 * base, rel=1e-12)
-    scn4 = ArwScenario(L=100, alpha=0.76, r=1.6, sigma=1.0, q=0.4, n=1000)
-    assert beta_from_r(scn4) == pytest.approx(2.0 * base, rel=1e-12)
+    base = beta_from_r(0.4, **PANEL)
+    assert beta_from_r(0.4, **{**PANEL, "sigma": 2.0}) == pytest.approx(2.0 * base, rel=1e-12)
+    assert beta_from_r(1.6, **PANEL) == pytest.approx(2.0 * base, rel=1e-12)
 
 
-def test_scenario_sample_size_from_exponent():
-    scn = ArwScenario(L=100, alpha=0.76, r=0.4, sigma=1.0, q=0.4, a=1.5)
-    assert scn.n == 1000
-    with pytest.raises(DimensionMismatchError):
-        ArwScenario(L=100, alpha=0.76, r=0.4, sigma=1.0, q=0.4)  # neither n nor a
-    with pytest.raises(DimensionMismatchError):
-        ArwScenario(L=100, alpha=0.76, r=0.4, sigma=1.0, q=0.4, n=1000, a=1.5)
+@pytest.mark.parametrize("bad, error", [
+    ({"L": 1}, BadSampleSizeError),
+    ({"n": 1}, BadSampleSizeError),
+    ({"sigma": 0.0}, NonPositiveSigmaError),
+    ({"sigma": float("nan")}, NonPositiveSigmaError),
+    ({"q": 1.0}, NonFiniteInputError),
+    ({"q": [0.2, 0.0]}, NonFiniteInputError),
+])
+def test_calibration_rejects_a_bad_panel(bad, error):
+    panel = {**PANEL, **bad}
+    with pytest.raises(error):
+        beta_from_r(0.4, **panel)
+    with pytest.raises(error):
+        r_from_beta(0.1, **panel)
+    with pytest.raises(error):
+        boundary_curve([0.6], "optimal", **panel)
 
 
-def test_replace_keeps_the_sample_size_and_the_boundary_of_an_exponent_built_scenario():
-    from dataclasses import replace
-
-    from rareweak.bench import csv_text
-
-    by_a = ArwScenario(L=100, alpha=0.6, r=0.5, q=0.4, a=1.5)
-    by_n = ArwScenario(L=100, alpha=0.6, r=0.5, q=0.4, n=1000)
-    assert replace(by_a, r=0.7).n == 1000
-    assert replace(by_a, r=0.7) == replace(by_n, r=0.7)
-    grid = np.linspace(0.51, 0.99, 49)
-    for mode in ("optimal", "minp"):
-        texts = [csv_text(("alpha", "r", "beta", "heritability"),
-                          list(boundary_curve(grid, mode, scn).rows())) for scn in (by_a, by_n)]
-        assert texts[0] == texts[1]
+@pytest.mark.parametrize("r", [0.0, -0.1, float("inf"), [0.4, float("nan")]])
+def test_beta_from_r_rejects_a_bad_strength(r):
+    with pytest.raises(NonFiniteInputError):
+        beta_from_r(r, **PANEL)
 
 
 def test_classify_regime():
@@ -171,7 +167,7 @@ def test_heritability_zero_and_monotone():
 
 def test_boundary_curve_rows_and_monotonicity():
     alphas = np.linspace(0.51, 0.99, 97)
-    curve = boundary_curve(alphas, "optimal", SCN)
+    curve = boundary_curve(alphas, "optimal", **PANEL)
     rows = list(curve.rows())
     assert len(rows) == 97
     r_vals = np.array([row[1] for row in rows])
@@ -181,5 +177,14 @@ def test_boundary_curve_rows_and_monotonicity():
     assert np.all(np.diff(beta_vals) > 0)
     assert np.all(h_vals > 0) and np.all(h_vals < 1)
 
-    minp = boundary_curve(alphas, "minp", SCN)
+    minp = boundary_curve(alphas, "minp", **PANEL)
     assert np.all(minp.r >= curve.r - 1e-15)
+
+
+def test_boundary_curve_rejects_an_unknown_mode_an_empty_grid_and_an_array_q():
+    with pytest.raises(DimensionMismatchError):
+        boundary_curve([0.6], "hc", **PANEL)
+    with pytest.raises(DimensionMismatchError):
+        boundary_curve([], "optimal", **PANEL)
+    with pytest.raises(DimensionMismatchError):
+        boundary_curve([0.6], "optimal", **{**PANEL, "q": [0.3, 0.4]})

@@ -230,8 +230,7 @@ def test_empirical_correlation_structure():
     X = rng.binomial(2, 0.4, size=(200, 5)).astype(float)
     X[:, 3] = X[:, 0]                  # duplicate
     X[:, 4] = 2.0 - X[:, 1]            # reflection
-    sg = empirical_correlation(X)
-    m = sg.matrix
+    m = empirical_correlation(X)
     np.testing.assert_allclose(np.diag(m), 1.0, rtol=1e-14)
     np.testing.assert_allclose(m, m.T, rtol=1e-14)
     assert m[0, 3] == pytest.approx(1.0, abs=1e-12)
@@ -242,14 +241,14 @@ def test_empirical_correlation_matches_corrcoef():
     rng = np.random.default_rng(10)
     X = rng.binomial(2, 0.3, size=(1000, 40)).astype(float)
     X[:, 1] = np.clip(X[:, 0] + rng.binomial(1, 0.3, size=1000), 0.0, 2.0)  # correlated pair
-    np.testing.assert_allclose(empirical_correlation(X).matrix, np.corrcoef(X, rowvar=False),
+    np.testing.assert_allclose(empirical_correlation(X), np.corrcoef(X, rowvar=False),
                                rtol=0.0, atol=1e-14)
 
 
 def test_empirical_correlation_independent_columns_near_zero():
     rng = np.random.default_rng(9)
     X = rng.binomial(2, 0.4, size=(10_000, 12)).astype(float)
-    m = empirical_correlation(X).matrix
+    m = empirical_correlation(X)
     off = m[~np.eye(12, dtype=bool)]
     assert np.max(np.abs(off)) < 0.05
 
@@ -338,3 +337,20 @@ def test_sparsity_check_identity_and_band():
 def test_sparsity_check_rejects_non_square():
     with pytest.raises(NotSquareError):
         check_row_sparsity(np.ones((2, 3)), 0.1, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: linear_combination_test([1.0, 2.0], m),
+    lambda m: quadratic_test([1.0, 2.0], m),
+    lambda m: decorrelation_test([1.0, 2.0], m),
+    lambda m: check_row_sparsity(m, 0.5, 0),
+], ids=["LCT", "QT", "DT", "row_sparsity"])
+def test_covariance_inputs_must_be_symmetric(call):
+    # Cholesky reads only the lower triangle and LCT sums every entry, so an
+    # asymmetric matrix would be read two ways
+    with pytest.raises(NotSquareError, match="symmetric"):
+        call(np.array([[1.0, 0.9], [0.0, 1.0]]))
+    # the tolerance is relative to the largest entry: a covariance on a
+    # large scale with rounding-level asymmetry is accepted
+    cov = 1e6 * np.array([[2.0, 0.5], [0.5 + 1e-13, 1.0]])
+    call(cov)

@@ -86,22 +86,23 @@ def test_ld_spec_is_checked_at_construction(build, error):
 
 def test_explicit_design_is_checked_before_any_draw(monkeypatch):
     monkeypatch.setattr(simgen, "column_generators", None)  # any draw would fail
-    with pytest.raises(NotSquareError):
-        simulate_genotypes(50, 0.3, np.array([[1.0, 0.2], [0.3, 1.0]]), seed=1)
+    with pytest.raises(NotSquareError, match="5 x 5"):
+        simulate_genotypes(50, 0.3, LdSpec.explicit(np.eye(3)), seed=1, L=5)
     with pytest.raises(NotSquareError, match="3 x 3"):
         build_ld(LdSpec.explicit(np.eye(2)), 3)
 
 
-def test_raw_matrix_design_is_read_as_an_explicit_spec(monkeypatch):
-    # a raw matrix and LdSpec.explicit resolve L the same way: from the
-    # matrix when L is not given, and a different L is refused before any draw
-    a = simulate_genotypes(50, 0.3, np.eye(3), seed=1)
-    b = simulate_genotypes(50, 0.3, LdSpec.explicit(np.eye(3)), seed=1, L=3)
-    assert a.entries.shape == (50, 3) and a.entries.tobytes() == b.entries.tobytes()
+def test_raw_matrix_design_is_refused_before_any_draw(monkeypatch):
     monkeypatch.setattr(simgen, "column_generators", None)  # any draw would fail
-    for ld in (np.eye(3), LdSpec.explicit(np.eye(3))):
-        with pytest.raises(NotSquareError, match="5 x 5"):
-            simulate_genotypes(50, 0.3, ld, seed=1, L=5)
+    with pytest.raises(ConfigError, match="LdSpec.explicit"):
+        simulate_genotypes(50, 0.3, np.eye(3), seed=1, L=3)
+
+
+@pytest.mark.parametrize("spec", [LdSpec.identity(), LdSpec.poly_decay(0.5, 1.0)])
+@pytest.mark.parametrize("L", [0, -1])
+def test_panel_width_below_one_is_refused_on_every_design(spec, L):
+    with pytest.raises(DimensionMismatchError, match=f"need L >= 1, got {L}"):
+        simulate_genotypes(10, 0.4, spec, seed=1, L=L)
 
 
 @pytest.mark.parametrize("build,error", [
@@ -239,7 +240,7 @@ def test_genotypes_are_counts_with_hwe_marginals():
 
 def test_adjacent_correlation_tracks_band():
     X = simulate_genotypes(10_000, 0.4, LdSpec.toeplitz(0.3), seed=7, L=8)
-    m = empirical_correlation(X.entries).matrix
+    m = empirical_correlation(X.entries)
     adjacent = np.diag(m, 1)
     np.testing.assert_allclose(adjacent, 0.3, atol=0.03)
 
@@ -258,7 +259,7 @@ def test_correlation_fidelity_all_six_designs():
     for name, spec in six_toeplitz_designs():
         target = build_ld(spec, 40)
         X = simulate_genotypes(10_000, 0.4, spec, seed=23, L=40)
-        got = empirical_correlation(X.entries).matrix
+        got = empirical_correlation(X.entries)
         dev = np.max(np.abs(got - target))
         assert dev <= 0.05, f"{name}: max deviation {dev}"
 
@@ -281,7 +282,7 @@ def test_identity_panel_reads_word_halves_per_column():
     # reference layout, one cell at a time: column j is words j*n..(j+1)*n-1
     # of the genotype substream; low half = haplotype 0, high half = haplotype 1
     n, q, seed = 7, np.array([0.1, 0.5, 0.35, 0.9]), 21
-    X = simulate_genotypes(n, q, LdSpec.identity(), seed=seed)
+    X = simulate_genotypes(n, q, LdSpec.identity(), seed=seed, L=q.size)
     words = substream(seed, TAG_GENOTYPE).bit_generator.random_raw(q.size * n)
     for j, qj in enumerate(q):
         t = round(float(qj) * 2 ** 32)
@@ -294,7 +295,7 @@ def test_identity_panel_reads_word_halves_per_column():
 def test_identity_allele_rates_within_binomial_error():
     q = np.repeat([0.01, 0.05, 0.5, 0.99], 2)
     n = 100_000
-    X = simulate_genotypes(n, q, LdSpec.identity(), seed=47)
+    X = simulate_genotypes(n, q, LdSpec.identity(), seed=47, L=q.size)
     rate = X.entries.mean(axis=0) / 2.0
     se = np.sqrt(q * (1.0 - q) / (2 * n))
     assert np.all(np.abs(rate - q) <= 4.0 * se), (rate - q) / se
@@ -303,9 +304,9 @@ def test_identity_allele_rates_within_binomial_error():
 def test_identity_columns_and_word_halves_are_independent():
     q = np.array([0.05, 0.3, 0.5, 0.7, 0.95])
     n = 100_000
-    e = simulate_genotypes(n, q, LdSpec.identity(), seed=53).entries
+    e = simulate_genotypes(n, q, LdSpec.identity(), seed=53, L=q.size).entries
     # adjacent columns uncorrelated: |r| within 4 standard errors of 0
-    m = empirical_correlation(e).matrix
+    m = empirical_correlation(e)
     assert np.all(np.abs(np.diag(m, 1)) <= 4.0 / np.sqrt(n))
     # both halves of a word carry the allele with probability q^2 only if
     # the halves are independent
@@ -316,7 +317,7 @@ def test_identity_columns_and_word_halves_are_independent():
 
 def test_identity_panel_is_pinned():
     # digest of the raw-word identity stream (sidecar rng_streams 2)
-    X = simulate_genotypes(200, np.linspace(0.05, 0.5, 10), LdSpec.identity(), seed=13)
+    X = simulate_genotypes(200, np.linspace(0.05, 0.5, 10), LdSpec.identity(), seed=13, L=10)
     assert (hashlib.sha256(X.entries.tobytes()).hexdigest()
             == "70b5aa9ea4c2c5a3368681ca46f255aeebfb3ed3f4e6597cfee850346d102474")
 
@@ -344,7 +345,7 @@ def test_panels_and_latent_correlations_are_pinned(spec, q, seed, panel_sha, lat
     # digests of the panels and latent correlations that the earlier,
     # quadrature-based solver produced: a moved latent correlation or a
     # changed random stream changes one of them
-    X = simulate_genotypes(200, q, spec, seed=seed)
+    X = simulate_genotypes(200, q, spec, seed=seed, L=q.size)
     assert hashlib.sha256(X.entries.tobytes()).hexdigest() == panel_sha
     target = build_ld(spec, q.size)
     jj, kk = np.nonzero(np.triu(target, k=1))
@@ -354,7 +355,7 @@ def test_panels_and_latent_correlations_are_pinned(spec, q, seed, panel_sha, lat
 
 def test_genotypes_accept_per_column_frequencies():
     q = np.array([0.1, 0.25, 0.4])
-    X = simulate_genotypes(50_000, q, LdSpec.identity(), seed=31)
+    X = simulate_genotypes(50_000, q, LdSpec.identity(), seed=31, L=q.size)
     np.testing.assert_allclose(X.maf_hat(), q, atol=0.01)
 
 
