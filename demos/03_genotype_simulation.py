@@ -19,7 +19,7 @@ def main():
     print()
     print(f"{'design':22} {'lag-1 target':>13} {'lag-1 got':>10} "
           f"{'worst lag dev':>14} {'HWE chi2 p':>11}")
-    for name, spec in six_toeplitz_designs():
+    for spec in six_toeplitz_designs():
         X = simulate_genotypes(N, Q, spec, seed=SEED, L=L)
         target = build_ld(spec, L)
         emp = np.corrcoef(X.entries.T)
@@ -32,7 +32,7 @@ def main():
         exp = obs.sum() * np.array([(1 - Q) ** 2, 2 * Q * (1 - Q), Q * Q])
         p = float(chi2.sf(float(((obs - exp) ** 2 / exp).sum()), df=2))
 
-        print(f"{name:22} {target[0, 1]:13.3f} {lag_means[0]:10.3f} "
+        print(f"{spec.name:22} {target[0, 1]:13.3f} {lag_means[0]:10.3f} "
               f"{worst:14.4f} {p:11.3f}")
 
     print()

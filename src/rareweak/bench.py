@@ -35,10 +35,9 @@ unit response (``core_stats._unit_response``), which a permutation keeps
 centred with unit norm, so no slab is centred again.  ``_scored_slabs`` is
 the one loop that scores them, slab by slab, in bounded memory: power
 replicates and ``permutation_cutoff`` concatenate one gene's statistics
-over it (``_response_stats``), and a ranking chunk counts, per gene, the
-permuted statistics that reach its observed one.  An FDR simulation's two
-columns (the response and one permutation) are one slab, scored by
-``_stats_for_columns``.
+over it (``_response_stats``), as does each gene of an FDR simulation, on
+the response and its one permutation, and a ranking chunk counts, per gene,
+the permuted statistics that reach its observed one.
 
 Marginal scores reach HC, HCm and DT on the N(0, 1) scale: their p-values
 are the two-sided normal tail, t scores included, which permutation
@@ -244,7 +243,8 @@ def _stats_for_columns(X: np.ndarray, Y: np.ndarray, trait_kind: str,
                        needs: tuple[str, ...]) -> dict[str, np.ndarray]:
     """Per requested method, the m exceedance-oriented statistics of the
     (n, L) panel X on each of the (n, m) unit responses Y: the one-gene,
-    one-slab case of ``_scored_slabs``."""
+    one-slab case of ``_scored_slabs``.  No package path calls it: tests
+    compare the slab loop against it, and perfbench wraps it by name."""
     block = _prepared_block(X, (slice(None),), trait_kind, needs)
     stats = _block_stats(block, _correlations(block.Z, Y), X.shape[0], needs)
     return {name: gene[0] for name, gene in stats.items()}
@@ -349,6 +349,11 @@ def _check_level(level: float):
         raise ConfigError(f"level must lie in (0, 1), got {level!r}")
 
 
+def _check_workers(workers: int):
+    if workers < 1:
+        raise ConfigError(f"need workers >= 1, got {workers}")
+
+
 def permutation_cutoff(method: str, X, y, n_perms: int, level: float,
                        seed: int) -> float:
     """Rejection cutoff for one method on one dataset from fresh permutations."""
@@ -401,8 +406,9 @@ def _run_chunked(fn, n_items: int, workers: int, *args, weights: Sequence[int] |
     method it inherits them, under spawn or forkserver they are pickled once
     per process.  A job carries its (lo, hi) alone.
     """
+    _check_workers(workers)
     # at most one worker per item: each chunk is non-empty, each worker has a job
-    workers = max(1, min(int(workers), n_items))
+    workers = min(int(workers), n_items)
     if workers == 1:
         with one_thread():
             return [fn(*args, 0, n_items)]
@@ -519,9 +525,9 @@ def _fdr_chunk(scenario: Scenario, needs: tuple[str, ...], seed: int,
         for Xg, gene_seed in zip(signal_panels, gene_seeds):
             genetic += Xg @ scenario.signal(gene_seed).beta
         y = genetic + _trait_noise(scenario.trait.sigma, rep_seed, scenario.n)
-        Y = next(_permutation_slabs(_unit_response(y), 1, rep_seed, 2, True))
         for g, Xg in enumerate(chain(signal_panels, panels)):
-            stats = _stats_for_columns(Xg, Y, "quantitative", needs)
+            # every gene redraws the simulation's one permutation from rep_seed
+            stats = _response_stats(Xg, y, "quantitative", needs, 1, rep_seed)
             for name in needs:
                 out[name][i - lo, g] = stats[name]
     return out

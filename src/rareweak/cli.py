@@ -49,6 +49,7 @@ from ._blas import managed as blas_managed, one_thread
 from ._rng import RNG_ALGORITHM, RNG_STREAMS
 from .bench import (
     Scenario,
+    _check_workers,
     _draw_replicate,
     _require_genes,
     csv_text,
@@ -61,7 +62,7 @@ from .bench import (
     rank_gene_sets,
     ranking_csv,
 )
-from .boundary import boundary_curve
+from .boundary import boundary_curve, signal_count
 from .core_stats import GenotypeMatrix, Phenotype, marginal_stats
 from .errors import (
     AllColumnsDroppedError,
@@ -139,14 +140,10 @@ def _parse_ld_one(s: str) -> LdSpec:
     raise ConfigError(f"unknown ld design {s!r}")
 
 
-def _parse_ld_list(s: str) -> list[tuple[str, LdSpec]]:
+def _parse_ld_list(s: str) -> list[LdSpec]:
     if s.strip() == "six_designs":
         return list(six_toeplitz_designs())
-    out = []
-    for item in _parse_str_list(s):
-        spec = _parse_ld_one(item)
-        out.append((spec.name, spec))
-    return out
+    return [_parse_ld_one(item) for item in _parse_str_list(s)]
 
 
 def _parse_scheme(s: str) -> CoefficientScheme:
@@ -169,43 +166,46 @@ def _parse_trait(s: str) -> str:
     return s
 
 
-# key -> parser; each call site passes its own default, as a string, to
-# Config.get.  Every key any subcommand understands must be listed here
-_KNOWN_KEYS: dict[str, Callable[[str], object]] = {
-    "scenario.L": _parse_int,
-    "scenario.n": _parse_int,
-    "scenario.q": _parse_float,
-    "scenario.sigma": _parse_float,
-    "scenario.alpha": _parse_float,
-    "scenario.k": _parse_int,
-    "scenario.r": _parse_float_list,
-    "scenario.beta": _parse_float_list,
-    "scenario.ld": _parse_ld_list,
-    "scenario.scheme": _parse_scheme,
-    "scenario.trait": _parse_trait,
-    "scenario.beta0": _parse_float,
-    "scenario.n_case": _parse_int,
-    "scenario.n_control": _parse_int,
-    "boundary.alphas": _parse_float_list,
-    "boundary.modes": _parse_str_list,
-    "execution.seed": _parse_int,
-    "execution.workers": _parse_int,
-    "execution.n_sims": _parse_int,
-    "execution.n_perms": _parse_int,
-    "execution.perms_per_sim": _parse_int,
-    "execution.level": _parse_float,
-    "analysis.methods": _parse_str_list,
-    "fdr.levels": _parse_float_list,
-    "fdr.n_genes": _parse_int,
-    "fdr.n_signal_genes": _parse_int,
-    "rank.target_genes": _parse_str_list,
-    "io.out": str,
-    "io.genotypes": str,
-    "io.phenotype": str,
-    "io.gene_map": str,
-    "ingest.max_missing": _parse_float,
-    "ingest.hwe_min_pvalue": _parse_float,
-    "ingest.maf_min": _parse_float,
+REQUIRED = object()  # the default of a key that must be given
+
+# every key that any subcommand understands, declared once: key -> (parser,
+# default), the default being its text, REQUIRED, or None (read when absent)
+_KEYS: dict[str, tuple[Callable[[str], object], object]] = {
+    "scenario.L": (_parse_int, REQUIRED),
+    "scenario.n": (_parse_int, REQUIRED),
+    "scenario.q": (_parse_float, REQUIRED),
+    "scenario.sigma": (_parse_float, "1.0"),
+    "scenario.alpha": (_parse_float, REQUIRED),
+    "scenario.k": (_parse_int, None),
+    "scenario.r": (_parse_float_list, None),
+    "scenario.beta": (_parse_float_list, None),
+    "scenario.ld": (_parse_ld_list, "identity"),
+    "scenario.scheme": (_parse_scheme, "fixed"),
+    "scenario.trait": (_parse_trait, "additive"),
+    "scenario.beta0": (_parse_float, "-2.0"),
+    "scenario.n_case": (_parse_int, REQUIRED),
+    "scenario.n_control": (_parse_int, REQUIRED),
+    "boundary.alphas": (_parse_float_list, "0.51:0.99:49"),
+    "boundary.modes": (_parse_str_list, "optimal,minp"),
+    "execution.seed": (_parse_int, "0"),
+    "execution.workers": (_parse_int, "1"),
+    "execution.n_sims": (_parse_int, REQUIRED),
+    "execution.n_perms": (_parse_int, "10000"),
+    "execution.perms_per_sim": (_parse_int, "1"),
+    "execution.level": (_parse_float, "0.05"),
+    # its default depends on the subcommand and the trait: the caller passes it
+    "analysis.methods": (_parse_str_list, REQUIRED),
+    "fdr.levels": (_parse_float_list, "0.02,0.05,0.1,0.15,0.2"),
+    "fdr.n_genes": (_parse_int, REQUIRED),
+    "fdr.n_signal_genes": (_parse_int, REQUIRED),
+    "rank.target_genes": (_parse_str_list, None),
+    "io.out": (str, "."),
+    "io.genotypes": (str, REQUIRED),
+    "io.phenotype": (str, REQUIRED),
+    "io.gene_map": (str, REQUIRED),
+    "ingest.max_missing": (_parse_float, "0.1"),
+    "ingest.hwe_min_pvalue": (_parse_float, None),
+    "ingest.maf_min": (_parse_float, None),
 }
 
 
@@ -220,20 +220,24 @@ class Config:
         return key in self.raw
 
     def get(self, key: str, default: str | None = None) -> object:
-        if key not in _KNOWN_KEYS:
+        """key's parsed value, else its ``_KEYS`` default's, recorded in
+        ``defaults`` (None reads None, REQUIRED raises); ``default`` replaces
+        the table's, for ``analysis.methods`` alone (see ``_KEYS``)."""
+        if key not in _KEYS:
             raise ConfigError(f"internal: unregistered key {key!r}")
+        parse, fallback = _KEYS[key]
         if key in self.raw:
             try:
-                return _KNOWN_KEYS[key](self.raw[key])
+                return parse(self.raw[key])
             except ConfigError as e:
                 raise ConfigError(f"{key}: {e}") from None
-        if default is None:
+        fallback = default or fallback
+        if fallback is REQUIRED:
             raise ConfigError(f"missing required key {key}")
-        self.defaults[key] = default
-        return _KNOWN_KEYS[key](default)
-
-    def get_optional(self, key: str) -> object | None:
-        return self.get(key) if key in self.raw else None
+        if fallback is not None:
+            self.defaults[key] = fallback
+            return parse(fallback)
+        return None
 
 
 def load_config(path: str) -> Config:
@@ -254,7 +258,7 @@ def load_config(path: str) -> Config:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = stripped.split("=", 1)
         key, value = key.strip(), value.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
@@ -533,26 +537,16 @@ def _environment() -> dict:
 # scenario assembly from config
 
 
-def _resolve_workers(cfg: Config, override: int | None) -> int:
-    if override is not None:
-        return max(1, override)
-    if cfg.has("execution.workers"):
-        return max(1, cfg.get("execution.workers"))
-    return 1
-
-
 def _trait_from_cfg(cfg: Config) -> TraitModel:
-    kind = cfg.get("scenario.trait", "additive")
+    kind = cfg.get("scenario.trait")
     if kind == "additive":
-        return TraitModel.additive(cfg.get("scenario.sigma", "1.0"))
-    return TraitModel.logistic(cfg.get("scenario.beta0", "-2.0"),
+        return TraitModel.additive(cfg.get("scenario.sigma"))
+    return TraitModel.logistic(cfg.get("scenario.beta0"),
                                cfg.get("scenario.n_case"),
                                cfg.get("scenario.n_control"))
 
 
 def _signal_counts_from_cfg(cfg: Config, L: int) -> int:
-    from .boundary import signal_count
-
     if cfg.has("scenario.k"):
         if cfg.has("scenario.alpha"):
             raise ConfigError("give scenario.k or scenario.alpha, not both")
@@ -564,10 +558,9 @@ def _strengths_from_cfg(cfg: Config) -> tuple[str, list[float]]:
     """Either calibrated exponents (r) or raw coefficients (beta)."""
     if cfg.has("scenario.r") and cfg.has("scenario.beta"):
         raise ConfigError("give scenario.r or scenario.beta, not both")
-    if cfg.has("scenario.r"):
-        return "r", cfg.get("scenario.r")
-    if cfg.has("scenario.beta"):
-        return "beta", cfg.get("scenario.beta")
+    for mode in ("r", "beta"):
+        if cfg.has(f"scenario.{mode}"):
+            return mode, cfg.get(f"scenario.{mode}")
     raise ConfigError("missing scenario.r or scenario.beta")
 
 
@@ -576,7 +569,7 @@ def _scenarios_from_cfg(cfg: Config) -> list[Scenario]:
     L = cfg.get("scenario.L")
     q = cfg.get("scenario.q")
     trait = _trait_from_cfg(cfg)
-    scheme = cfg.get("scenario.scheme", "fixed")
+    scheme = cfg.get("scenario.scheme")
     n_signals = _signal_counts_from_cfg(cfg, L)
     mode, strengths = _strengths_from_cfg(cfg)
     if mode == "r" and trait.kind != "additive":
@@ -585,9 +578,8 @@ def _scenarios_from_cfg(cfg: Config) -> list[Scenario]:
     if mode == "r" and cfg.has("scenario.k"):
         raise ConfigError("calibrated scenario.r derives the signal count "
                           "from scenario.alpha; drop scenario.k")
-    designs = cfg.get("scenario.ld", "identity")
     out = []
-    for _, spec in designs:
+    for spec in cfg.get("scenario.ld"):
         for s in strengths:
             if mode == "r":
                 sc = Scenario.from_strength(L=L, n=cfg.get("scenario.n"), q=q,
@@ -611,15 +603,15 @@ def _methods_from_cfg(cfg: Config, trait_kind: str, default: str | None = None) 
 
 
 def _cmd_boundary(cfg: Config, seed: int, workers: int) -> tuple[dict[str, str], dict]:
-    alphas = cfg.get("boundary.alphas", "0.51:0.99:49")
+    alphas = cfg.get("boundary.alphas")
     if any(not 0.5 < a < 1.0 for a in alphas):
         raise ConfigError("boundary.alphas entries must lie in (0.5, 1)")
-    modes = cfg.get("boundary.modes", "optimal,minp")
+    modes = cfg.get("boundary.modes")
     for m in modes:
         if m not in ("optimal", "minp"):
             raise ConfigError(f"boundary.modes entries must be optimal or minp, got {m!r}")
     panel = (cfg.get("scenario.L"), cfg.get("scenario.n"), cfg.get("scenario.q"),
-             cfg.get("scenario.sigma", "1.0"))
+             cfg.get("scenario.sigma"))
     rows = []
     for mode in modes:
         curve = boundary_curve(alphas, mode, *panel)
@@ -642,12 +634,12 @@ def _cmd_simulate(cfg: Config, seed: int, workers: int) -> tuple[dict[str, str],
 
 
 def _load_panel(cfg: Config) -> tuple[LoadedGenotypes, Phenotype, str]:
-    trait_kind = "binary" if cfg.get("scenario.trait", "additive") == "logistic" else "quantitative"
+    trait_kind = "binary" if cfg.get("scenario.trait") == "logistic" else "quantitative"
     loaded = load_genotype_csv(
         cfg.get("io.genotypes"),
-        max_missing=cfg.get("ingest.max_missing", "0.1"),
-        hwe_min_pvalue=cfg.get_optional("ingest.hwe_min_pvalue"),
-        maf_min=cfg.get_optional("ingest.maf_min"),
+        max_missing=cfg.get("ingest.max_missing"),
+        hwe_min_pvalue=cfg.get("ingest.hwe_min_pvalue"),
+        maf_min=cfg.get("ingest.maf_min"),
     )
     pheno = load_phenotype_csv(cfg.get("io.phenotype"), trait_kind)
     if pheno.n != loaded.matrix.n:
@@ -680,8 +672,8 @@ def _cmd_power(cfg: Config, seed: int, workers: int) -> tuple[dict[str, str], di
     scenarios = _scenarios_from_cfg(cfg)
     methods = _methods_from_cfg(cfg, scenarios[0].trait_kind)
     n_sims = cfg.get("execution.n_sims")
-    level = cfg.get("execution.level", "0.05")
-    perms = cfg.get("execution.perms_per_sim", "1")
+    level = cfg.get("execution.level")
+    perms = cfg.get("execution.perms_per_sim")
     results = []
     for sc in scenarios:
         results += list(empirical_power(methods, sc, n_sims=n_sims, level=level,
@@ -692,7 +684,7 @@ def _cmd_power(cfg: Config, seed: int, workers: int) -> tuple[dict[str, str], di
 def _cmd_fdr(cfg: Config, seed: int, workers: int) -> tuple[dict[str, str], dict]:
     scenarios = _scenarios_from_cfg(cfg)
     methods = _methods_from_cfg(cfg, scenarios[0].trait_kind, default="HC")
-    curves = [fdr_curve(methods, sc, levels=cfg.get("fdr.levels", "0.02,0.05,0.1,0.15,0.2"),
+    curves = [fdr_curve(methods, sc, levels=cfg.get("fdr.levels"),
                         n_sims=cfg.get("execution.n_sims"),
                         n_genes=cfg.get("fdr.n_genes"),
                         n_signal_genes=cfg.get("fdr.n_signal_genes"),
@@ -705,14 +697,14 @@ def _cmd_rank(cfg: Config, seed: int, workers: int) -> tuple[dict[str, str], dic
     loaded, pheno, trait_kind = _load_panel(cfg)
     genes = load_gene_map(cfg.get("io.gene_map"), loaded.report.kept, loaded.report.snps)
     methods = _methods_from_cfg(cfg, trait_kind)
-    targets = cfg.get_optional("rank.target_genes")
+    targets = cfg.get("rank.target_genes")
     for i, gene in enumerate(targets or ()):
         if gene in targets[:i]:  # mean_rank would count it once, n_genes twice
             raise ConfigError(f"rank.target_genes: gene {gene!r} is repeated")
     # an unknown target exits before any permutation is drawn
     _require_genes(targets or (), [gene for gene, _ in genes])
     ranking = rank_gene_sets(genes, loaded.matrix, pheno, methods,
-                             n_perms=cfg.get("execution.n_perms", "10000"),
+                             n_perms=cfg.get("execution.n_perms"),
                              seed=seed, workers=workers)
     texts = {"rank": ranking_csv(ranking), "ingest": loaded.report.csv()}
     if targets:
@@ -738,8 +730,9 @@ def run(command: str, cfg: Config, out_dir: str | Path = ".",
     given; writes each artifact with the run's one sidecar and returns their paths."""
     if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}; know {sorted(_COMMANDS)}")
-    eff_seed = seed if seed is not None else cfg.get("execution.seed", "0")
-    eff_workers = _resolve_workers(cfg, workers)
+    eff_seed = seed if seed is not None else cfg.get("execution.seed")
+    eff_workers = workers if workers is not None else cfg.get("execution.workers")
+    _check_workers(eff_workers)
     # one BLAS thread, as in the Monte Carlo chunks, so that no artifact's
     # last digits depend on the host's thread count
     with one_thread():
@@ -778,7 +771,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     try:
         cfg = load_config(args.config)
-        out_dir = args.out if args.out is not None else cfg.get("io.out", ".")
+        out_dir = args.out if args.out is not None else cfg.get("io.out")
         run(args.command, cfg, out_dir=out_dir, seed=args.seed, workers=args.workers)
     except ConfigError as e:
         _emit_error(e, 2)

@@ -159,15 +159,15 @@ def build_ld(spec: LdSpec, L: int) -> np.ndarray:
     return m
 
 
-def six_toeplitz_designs() -> tuple[tuple[str, LdSpec], ...]:
+def six_toeplitz_designs() -> tuple[LdSpec, ...]:
     """The six benchmark designs: independence plus five banded targets."""
     return (
-        ("identity", LdSpec.identity()),
-        ("toeplitz(0.3)", LdSpec.toeplitz(0.3)),
-        ("toeplitz(0.25)", LdSpec.toeplitz(0.25)),
-        ("toeplitz(0.2)", LdSpec.toeplitz(0.2)),
-        ("toeplitz(0.25,0.3)", LdSpec.toeplitz(0.25, 0.3)),
-        ("toeplitz(0.25,0.2)", LdSpec.toeplitz(0.25, 0.2)),
+        LdSpec.identity(),
+        LdSpec.toeplitz(0.3),
+        LdSpec.toeplitz(0.25),
+        LdSpec.toeplitz(0.2),
+        LdSpec.toeplitz(0.25, 0.3),
+        LdSpec.toeplitz(0.25, 0.2),
     )
 
 

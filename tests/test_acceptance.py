@@ -88,7 +88,7 @@ def fdr_curves():
 
 def fidelity_rows(seed):
     rows = []
-    for name, spec in six_toeplitz_designs():
+    for spec in six_toeplitz_designs():
         X = simulate_genotypes(10_000, 0.4, spec, seed=seed, L=100)
         target = build_ld(spec, 100)
         emp = np.corrcoef(X.entries.T)
@@ -102,7 +102,7 @@ def fidelity_rows(seed):
         from scipy.stats import chi2
 
         hwe_p = float(chi2.sf(float(((obs - exp) ** 2 / exp).sum()), df=2))
-        rows.append((name, per_lag, per_entry, hwe_p))
+        rows.append((spec.name, per_lag, per_entry, hwe_p))
     return rows
 
 

@@ -909,6 +909,35 @@ def test_rank_surfaces_planted_gene():
     assert hits >= 20, f"planted gene in top 3 only {hits}/25 times"
 
 
+def test_every_entry_point_scores_through_the_slab_loop(monkeypatch):
+    # _stats_for_columns is the tests' one-slab reference, which no package path calls
+    def refuse(*args):
+        raise AssertionError("scored outside _scored_slabs")
+    monkeypatch.setattr(bench, "_stats_for_columns", refuse)
+    sc = quick_scenario(L=8, n=100)
+    fdr_curve(["HC", "QT"], sc, levels=[0.2], n_sims=2, n_genes=4, n_signal_genes=1, seed=3)
+    empirical_power(["HC", "MinP"], sc, n_sims=100, level=0.2, seed=3)
+    X, y = rank_panel()
+    permutation_cutoff("HC", X, y, n_perms=100, level=0.2, seed=3)
+    genes = [("a", [0, 1, 2]), ("b", [3, 4, 5])]
+    rank_gene_sets(genes, X, y, ["HC", "LCT"], n_perms=100, seed=3)
+    gene_set_statistics(genes, X, y, ["HC", "QT"])
+
+
+@pytest.mark.parametrize("workers", [0, -5])
+def test_a_worker_count_below_one_is_refused(workers):
+    sc = quick_scenario(L=8, n=100)
+    X, y = rank_panel()
+    refused = pytest.raises(ConfigError, match=f"need workers >= 1, got {workers}")
+    with refused:
+        empirical_power(["HC"], sc, n_sims=100, level=0.2, seed=3, workers=workers)
+    with refused:
+        fdr_curve(["HC"], sc, levels=[0.2], n_sims=2, n_genes=4, n_signal_genes=1, seed=3,
+                  workers=workers)
+    with refused:
+        rank_gene_sets([("a", [0, 1])], X, y, ["HC"], n_perms=100, seed=3, workers=workers)
+
+
 # --- serialization ------------------------------------------------------------
 
 

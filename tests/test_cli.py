@@ -57,8 +57,8 @@ execution.seed = 7
     assert cfg.get("scenario.L") == 100
     assert cfg.get("scenario.r") == [0.4, 0.65, 0.9]
     assert cfg.get("execution.seed") == 7
-    assert cfg.get("execution.workers", "1") == 1
-    assert cfg.get_optional("scenario.q") is None
+    assert cfg.get("execution.workers") == 1
+    assert cfg.get("ingest.maf_min") is None
     assert cfg.has("scenario.r") and not cfg.has("scenario.beta")
 
 
@@ -88,10 +88,10 @@ def test_config_ld_and_scheme_values():
     cfg = Config(raw={"scenario.ld": "six_designs"})
     designs = cfg.get("scenario.ld")
     assert len(designs) == 6
-    assert len({name for name, _ in designs}) == 6
+    assert len({spec.name for spec in designs}) == 6
     cfg = Config(raw={"scenario.ld": "toeplitz:0.3+0.1",
                       "scenario.scheme": "uniform_range:0.5+1.5"})
-    [(name, spec)] = cfg.get("scenario.ld")
+    [spec] = cfg.get("scenario.ld")
     assert spec.bands == (0.3, 0.1)
     assert cfg.get("scenario.scheme").kind == "uniform_range"
     cfg = Config(raw={"scenario.ld": "spiral:1"})
@@ -814,7 +814,7 @@ _LIST_KEYS = [
 
 def test_the_empty_list_cases_cover_every_list_key():
     parsers = {cli._parse_float_list, cli._parse_str_list, cli._parse_ld_list}
-    assert {k for k, f in cli._KNOWN_KEYS.items() if f in parsers} == {k for _, k, _ in _LIST_KEYS}
+    assert {k for k, (f, _) in cli._KEYS.items() if f in parsers} == {k for _, k, _ in _LIST_KEYS}
 
 
 @pytest.mark.parametrize("command,key,base", _LIST_KEYS, ids=[key for _, key, _ in _LIST_KEYS])
@@ -995,6 +995,48 @@ def test_workers_resolution_order(tmp_path):
     assert resolved("") == 1
     assert resolved("execution.workers = 3") == 3
     assert resolved("execution.workers = 3", "--workers", "2") == 2
+
+
+@pytest.mark.parametrize("flag", ["--workers=0", "--workers=-3"])
+def test_a_worker_flag_below_one_exits_2_without_an_artifact(tmp_path, capsys, flag):
+    cfg = write(tmp_path / "p.cfg", _POWER_BASE)
+    assert main(["power", "--config", cfg, "--out", str(tmp_path / "out"), flag]) == 2
+    payload = _one_payload(capsys)
+    assert payload["error"] == "ConfigError" and "workers" in payload["message"]
+    assert flag.split("=")[1] in payload["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["power", "rank"])
+def test_a_configured_worker_count_below_one_exits_2_without_an_artifact(tmp_path, capsys,
+                                                                          command):
+    if command == "rank":
+        base = Path(_panel_files(tmp_path, [f"{v:.6f}" for v in
+                                            np.random.default_rng(5).normal(size=40)])).read_text()
+    else:
+        base = _POWER_BASE
+    cfg = write(tmp_path / "w.cfg", base + "execution.workers = 0\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    payload = _one_payload(capsys)
+    assert payload["error"] == "ConfigError" and "got 0" in payload["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_key_default_is_declared_once_and_parses():
+    # a text default parses with its own key's parser; a REQUIRED key is
+    # reported missing; any other key reads None when absent
+    for key, (parse, default) in cli._KEYS.items():
+        cfg = Config(raw={})
+        if default is cli.REQUIRED:
+            with pytest.raises(ConfigError, match=f"missing required key {key}"):
+                cfg.get(key)
+        elif default is None:
+            assert cfg.get(key) is None and key not in cfg.defaults
+        else:
+            assert isinstance(default, str)
+            # by repr: an LdSpec compares by identity
+            assert repr(cfg.get(key)) == repr(parse(default))
+            assert cfg.defaults == {key: default}
 
 
 def test_run_requires_known_command(tmp_path):

@@ -138,9 +138,9 @@ def test_build_rejects_indefinite_band():
 def test_six_designs_all_build():
     designs = six_toeplitz_designs()
     assert len(designs) == 6
-    names = [name for name, _ in designs]
+    names = [spec.name for spec in designs]
     assert len(set(names)) == 6
-    for _, spec in designs:
+    for spec in designs:
         m = build_ld(spec, 50)
         np.linalg.cholesky(m)    # PD for the sizes the protocol uses
 
@@ -255,13 +255,20 @@ def test_hwe_chi_square_across_frequencies():
         assert p > 0.001, f"q={q}: HWE chi-square p={p}"
 
 
+def test_six_designs_keep_their_names():
+    # power.csv's ld_design column reads these
+    assert [spec.name for spec in six_toeplitz_designs()] == [
+        "identity", "toeplitz(0.3)", "toeplitz(0.25)", "toeplitz(0.2)",
+        "toeplitz(0.25,0.3)", "toeplitz(0.25,0.2)"]
+
+
 def test_correlation_fidelity_all_six_designs():
-    for name, spec in six_toeplitz_designs():
+    for spec in six_toeplitz_designs():
         target = build_ld(spec, 40)
         X = simulate_genotypes(10_000, 0.4, spec, seed=23, L=40)
         got = empirical_correlation(X.entries)
         dev = np.max(np.abs(got - target))
-        assert dev <= 0.05, f"{name}: max deviation {dev}"
+        assert dev <= 0.05, f"{spec.name}: max deviation {dev}"
 
 
 def test_genotype_determinism_and_prefix_stability():
