@@ -32,12 +32,13 @@ and max |score| for MinP.  Entry points validate inputs once, with
 
 ``_permutation_slabs`` is the one place permutations are drawn, of the
 unit response (``core_stats._unit_response``), which a permutation keeps
-centred with unit norm, so no slab is centred again.  ``_scored_slabs`` is
-the one loop that scores them, slab by slab, in bounded memory: power
-replicates and ``permutation_cutoff`` concatenate one gene's statistics
-over it (``_response_stats``), as does each gene of an FDR simulation, on
-the response and its one permutation, and a ranking chunk counts, per gene,
-the permuted statistics that reach its observed one.
+centred with unit norm, so no slab is centred again.  Slabs hold only
+permutations: each observed statistic is its own product of the gene's
+columns with the response, on a row-major Z (``_observed_stats``).
+``_scored_slabs`` is the one loop that scores slabs, in bounded memory:
+power replicates, ``permutation_cutoff`` and each FDR gene concatenate one
+gene's statistics over it (``_response_stats``), and a ranking chunk
+counts, per gene, the permuted statistics that reach its observed one.
 
 Marginal scores reach HC, HCm and DT on the N(0, 1) scale: their p-values
 are the two-sided normal tail, t scores included, which permutation
@@ -143,6 +144,8 @@ class Scenario:
                                          f"got shape {np.shape(self.q)}")
         if not (0.0 < self.q < 1.0):
             raise NonFiniteInputError(f"allele frequency must lie in (0, 1), got {self.q!r}")
+        if not np.isfinite(self.base_beta):  # nan would pass both sign checks below
+            raise NonFiniteInputError(f"base coefficient must be finite, got {self.base_beta!r}")
         if self.base_beta < 0.0:
             raise DimensionMismatchError(f"base coefficient must be >= 0, got {self.base_beta!r}")
         if self.base_beta > 0.0 and not 1 <= self.n_signals <= self.L:
@@ -258,46 +261,52 @@ def _slab_width(n: int) -> int:
     return max(1, _SLAB_BYTES // (8 * n))
 
 
-def _permutation_slabs(u: np.ndarray, n_perms: int, seed: int, width: int, lead: bool):
+def _permutation_slabs(u: np.ndarray, n_perms: int, seed: int, width: int):
     """n_perms permutations of the unit response u from the permutation
-    stream of ``seed``, after u itself when ``lead``, as (n, <= width) blocks
-    in draw order, drawn lazily and not kept here once yielded."""
+    stream of ``seed``, as (n, <= width) blocks in draw order, drawn lazily
+    and not kept here once yielded."""
     n = u.size
     perm_rng = substream(seed, TAG_PERMUTE)
-    total = lead + n_perms
 
     def slab(start: int) -> np.ndarray:
         # filled row by row, one contiguous response at a time
-        block = np.empty((min(width, total - start), n))
+        block = np.empty((min(width, n_perms - start), n))
         for j in range(block.shape[0]):
-            block[j] = u if lead and start + j == 0 else u[perm_rng.permutation(n)]
+            block[j] = u[perm_rng.permutation(n)]
         return block.T
 
-    for start in range(0, total, width):
+    for start in range(0, n_perms, width):
         yield slab(start)  # never bound here: the caller's reference is the only one
 
 
-def _scored_slabs(block: _Block, u: np.ndarray, n_perms: int, seed: int, lead: bool, needs: tuple[str, ...]):
+def _scored_slabs(block: _Block, u: np.ndarray, n_perms: int, seed: int, needs: tuple[str, ...]):
     """``_block_stats`` of the (n, W) block against each slab Y of
-    ``_permutation_slabs(u, n_perms, seed, _slab_width(n), lead)``, in draw
-    order, each from one product rho = Z' Y.
+    ``_permutation_slabs(u, n_perms, seed, _slab_width(n))``, in draw order,
+    each from one product rho = Z' Y.
 
     Each slab is freed once its product is taken, each product once it is
     scored, and no yielded statistics are kept here, so a caller that drops
     them holds Z, one (n, _slab_width(n)) slab and one (W, slab) product at
-    a time, whatever n_perms is.  A slab's statistics do not depend on its
-    width, except that a trailing slab of one column is scored by a
-    matrix-vector product, whose rounding can differ in the last bits (one
-    null moved by 1.6e-14 relative in a probe).
+    a time, whatever n_perms is.  ``_slab_width`` depends on n alone, so the
+    statistics do not depend on the worker count; another width can move
+    them in the last bits (under 1e-12 relative for HC between widths 7 and
+    64 at n = 1000), far inside ``_TIE_RTOL``.
     """
     n = u.size
-    for Y in _permutation_slabs(u, n_perms, seed, _slab_width(n), lead):
+    for Y in _permutation_slabs(u, n_perms, seed, _slab_width(n)):
         rho = _correlations(block.Z, Y)
         del Y
         stats = _block_stats(block, rho, n, needs)
         del rho
         yield stats
         del stats
+
+
+def _observed_stats(block: _Block, u: np.ndarray, needs: tuple[str, ...]) -> dict[str, np.ndarray]:
+    """Per method, each gene's statistic on the unit response u from one
+    product of its own columns, copied row-major (a view rounds otherwise)."""
+    rho = np.concatenate([_correlations(np.ascontiguousarray(block.Z[:, s]), u[:, None]) for s in block.spans])
+    return {name: stats[:, 0] for name, stats in _block_stats(block, rho, u.size, needs).items()}
 
 
 def _draw_replicate(scenario: Scenario, seed: int) -> tuple[GenotypeMatrix, Phenotype, SignalConfig]:
@@ -315,17 +324,18 @@ def _draw_replicate(scenario: Scenario, seed: int) -> tuple[GenotypeMatrix, Phen
 
 def _response_stats(X: np.ndarray, y: np.ndarray, trait_kind: str, needs: tuple[str, ...],
                     n_perms: int, seed: int) -> dict[str, np.ndarray]:
-    """Per requested method, the statistic of panel X on y (entry 0) and on n_perms
-    permutations of it, with X prepared once, scored by ``_scored_slabs``."""
+    """Per requested method, the statistic of X, prepared once and row-major,
+    on y (entry 0) and on n_perms permutations of it."""
     u = _unit_response(y)
-    block = _prepared_block(X, (slice(None),), trait_kind, needs)
-    stats = list(_scored_slabs(block, u, n_perms, seed, True, needs))
-    return {name: np.concatenate([s[name][0] for s in stats]) for name in needs}
+    block = _prepared_block(np.ascontiguousarray(X), (slice(None),), trait_kind, needs)
+    observed = _observed_stats(block, u, needs)
+    stats = list(_scored_slabs(block, u, n_perms, seed, needs))
+    return {name: np.concatenate([observed[name]] + [s[name][0] for s in stats]) for name in needs}
 
 
 def _replicate_stats(scenario: Scenario, needs: tuple[str, ...], rep_seed: int,
                      n_perms: int) -> dict[str, np.ndarray]:
-    """One replicate's observed (column 0) and n_perms permuted statistics."""
+    """One replicate's observed (entry 0) and n_perms permuted statistics."""
     X, y, _ = _draw_replicate(scenario, rep_seed)
     return _response_stats(X.entries, y.values, scenario.trait_kind, needs, n_perms, rep_seed)
 
@@ -624,9 +634,9 @@ def _gene_chunk(X: np.ndarray, y: np.ndarray, n_perms: int, seed: int, gene_slic
     once, in place (``_prepared_block``): a constant or monomorphic column
     is refused, naming the panel column, before any permutation is drawn.
     Each gene's observed statistic comes from one product of its own columns
-    with the unit response, so it depends on those columns and y alone,
-    whatever the chunk or the worker count, and equals
-    ``gene_set_statistics``.  The chunk then scores the shared permutations
+    with the unit response (``_observed_stats``), so it depends on those
+    columns and y alone, whatever the chunk or the worker count, as does a
+    power replicate's.  The chunk then scores the shared permutations
     against the whole block (``_scored_slabs``); a |rho| of 1 raises naming
     the panel column.
 
@@ -645,15 +655,13 @@ def _gene_chunk(X: np.ndarray, y: np.ndarray, n_perms: int, seed: int, gene_slic
     ends = np.cumsum([g.size for g in genes])
     spans = [slice(end - g.size, end) for g, end in zip(genes, ends)]
     u = _unit_response(y)
-    Z = X[:, cols]  # one gathered copy, standardised in place
+    Z = X.take(cols, axis=1)  # one gathered row-major copy, standardised in place
     exceed = {name: np.zeros(len(genes), dtype=np.int64) for name in needs}
     try:
         block = _prepared_block(Z, spans, trait_kind, needs, out=Z)
-        rho = np.concatenate([_correlations(Z[:, s], u[:, None]) for s in spans])
-        stats = _block_stats(block, rho, u.size, needs)
-        observed = {name: stats[name][:, 0] for name in needs}
+        observed = _observed_stats(block, u, needs)
         reach = {name: t0 - _TIE_RTOL * np.maximum(1.0, np.abs(t0)) for name, t0 in observed.items()}
-        for stats in _scored_slabs(block, u, n_perms, seed, False, needs):
+        for stats in _scored_slabs(block, u, n_perms, seed, needs):
             for name, permuted in stats.items():
                 exceed[name] += np.count_nonzero(permuted >= reach[name][:, None], axis=1)
             del stats, permuted  # freed before the next slab is drawn

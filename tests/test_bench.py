@@ -286,7 +286,8 @@ def test_overlapping_genes_out_of_order_match_the_per_gene_kernel(trait_kind, wo
     names, slices = bench._gene_columns(genes, Xa.shape[1])
     chunks = bench._run_chunked(bench._gene_chunk, len(names), workers, Xa, yv, n_perms, seed,
                                 slices, kind, needs)
-    Y = next(bench._permutation_slabs(_unit_response(yv), n_perms, seed, 1 + n_perms, True))
+    u = _unit_response(yv)
+    Y = np.column_stack([u, next(bench._permutation_slabs(u, n_perms, seed, n_perms))])
     scored = gene_set_statistics(genes, X, y, needs)
     assert list(scored) == list(needs)  # ``score`` writes its columns in this order
     for gi, (_, idx) in enumerate(genes):
@@ -330,6 +331,14 @@ def test_binary_scenario_rejects_correlation_variant():
                   n_signals=2, base_beta=0.2, scheme=CoefficientScheme.fixed())
     with pytest.raises(ConfigError):
         empirical_power(["HCm"], sc, n_sims=100, level=0.5, seed=1)
+
+
+@pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_coefficient_is_refused(beta):
+    # nan passed both sign checks and ran as a null scenario
+    with pytest.raises(NonFiniteInputError, match=repr(beta)):
+        Scenario(L=10, q=0.4, ld=LdSpec.identity(), trait=TraitModel.additive(1.0),
+                 n_signals=2, base_beta=beta, scheme=CoefficientScheme.fixed(), n=50)
 
 
 def test_duplicate_methods_rejected():
@@ -675,17 +684,18 @@ def pinned_panel():
     return X, y, labels
 
 
-# sha256 of ranking_csv on pinned_panel, permutation_cutoff values and the
-# power digests below, as computed from one (n, 1 + n_perms) response block
-# before ranking, the cutoff and power replicates were streamed in slabs
+# sha256 of ranking_csv on pinned_panel and permutation_cutoff values, as
+# computed from one (n, 1 + n_perms) response block before ranking and the
+# cutoff were streamed in slabs; the power digests below hash each
+# replicate's observed statistic from its own product
 PINNED_RANK_SHA256 = {
     "quantitative": "07ec5bb956c17cd1cc7f910cbee135acd58297684f34af77792d90dce5971d2f",
     "binary": "16648192600072cb436837427de4a8ba809f31bfb27767db41a169b4a9d20b0c",
 }
 PINNED_CUTOFF = {"quantitative": 25.90965505937148, "binary": 1.7383208161612385}
 PINNED_POWER_SHA256 = {
-    "quantitative": "03b2c52bd8806f1773c7e999b1456541c89378e165ebea0634f4e6ebd3abe925",
-    "binary": "75159dacde83707a76d95e9206edafee28961882e1400950a07b9051fb5da6e4",
+    "quantitative": "3886d258e03b31168239923a4455e18ddcecbfa708129f920ef82d8d515ba382",
+    "binary": "ada34dabbe0673dcf1d54a530eee55e89c9726ffb33932844e28d71214b19be6",
 }
 
 
@@ -730,8 +740,9 @@ def pinned_power_scenario(trait_kind):
     return quick_scenario(L=12, n=150)
 
 
-# 21 responses per replicate: each width splits them with no one-column
-# slab, which a matrix-vector product would score with other rounding
+# 20 permutations per replicate: each width splits them with no one-column
+# slab, which a matrix-vector product would score with other rounding; the
+# observed statistic is its own product, whatever the width
 @pytest.mark.parametrize("width", [3, 7, 21])
 @pytest.mark.parametrize("trait_kind", ["quantitative", "binary"])
 def test_streamed_power_matches_the_pinned_block_result(monkeypatch, trait_kind, width):
@@ -766,7 +777,8 @@ def test_no_kernel_call_sees_more_than_one_slab(monkeypatch):
     seen.clear()
     permutation_cutoff("LCT", X, y, n_perms=10_000, level=0.05, seed=3)
     assert max(seen) <= width and sum(seen) == 10_001
-    # a power replicate whose 1 + P responses span two slabs prepares its panel once
+    # a power replicate whose P permutations span two slabs prepares its panel
+    # once, and scores its observed statistic by a product of its own
     seen.clear()
     prepared = []
     prepare = bench._prepared_block
@@ -774,8 +786,53 @@ def test_no_kernel_call_sees_more_than_one_slab(monkeypatch):
                         lambda *args, **kwargs: prepared.append(1) or prepare(*args, **kwargs))
     empirical_power(["HC", "QT"], quick_scenario(L=8, n=120), n_sims=100, level=0.05,
                     seed=3, perms_per_sim=1000)
-    assert max(seen) <= width and sum(seen) == 100 * 1001 and len(seen) == 200
+    assert max(seen) <= width and sum(seen) == 100 * 1001 and len(seen) == 300
     assert len(prepared) == 100
+
+
+# --- observed statistics --------------------------------------------------------
+
+
+def power_identity_scenario():
+    # the power_identity workload's scenario: L = 100, n = 1000, r = 0.65
+    return quick_scenario(r=0.65, L=100, n=1000)
+
+
+def test_a_replicates_observed_statistic_does_not_depend_on_its_permutation_count():
+    needs = methods_for("quantitative")
+    for i in range(5):
+        rep_seed = bench.derive_seed(1, bench.TAG_REPLICATE, i)
+        first = bench._replicate_stats(power_identity_scenario(), needs, rep_seed, 1)
+        for perms in (3, 200):
+            again = bench._replicate_stats(power_identity_scenario(), needs, rep_seed, perms)
+            for m in needs:
+                assert again[m][0] == first[m][0], (m, i, perms)
+
+
+@pytest.mark.parametrize("scenario", [
+    power_identity_scenario(),
+    quick_scenario(L=20, n=150, ld=LdSpec.poly_decay(0.5, 1.0)),
+    Scenario(L=12, q=0.3, ld=LdSpec.identity(), trait=TraitModel.logistic(-1.0, 60, 90),
+             n_signals=2, base_beta=0.5, scheme=CoefficientScheme.fixed()),
+], ids=["identity", "poly", "logistic"])
+def test_a_replicates_observed_statistic_is_what_score_writes(scenario):
+    needs = methods_for(scenario.trait_kind)
+    for i in range(3):
+        rep_seed = bench.derive_seed(1, bench.TAG_REPLICATE, i)
+        X, y, _ = bench._draw_replicate(scenario, rep_seed)
+        scored = gene_set_statistics([("all", range(scenario.L))], X, y, needs)
+        with _blas.one_thread():  # as every power chunk runs
+            stats = bench._replicate_stats(scenario, needs, rep_seed, 4)
+        for m in needs:
+            assert stats[m][0] == scored[m][0], (m, i)
+
+
+def test_a_cutoff_does_not_depend_on_the_panels_memory_order():
+    X, y = rank_panel(seed=61, n=150, L=12)
+    for method in ("HC", "QT", "DT", "MinP", "LCT"):
+        cut = permutation_cutoff(method, X, y, n_perms=400, level=0.05, seed=2)
+        assert permutation_cutoff(method, np.asfortranarray(X), y, n_perms=400,
+                                  level=0.05, seed=2) == cut, method
 
 
 # (n, genes, SNPs per gene, methods): the first makes the product large next

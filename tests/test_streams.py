@@ -75,7 +75,7 @@ PINNED = {
         "power.csv": "1847cd67231c04b2a9e4c4e2bd94175462496f4090c499f816272e4b9adc38f0",
     },
     "fdr": {
-        "fdr.csv": "7c6c20aa81de359c362e2e8369bb5b0bccf2b339e3e168963861fda53d089384",
+        "fdr.csv": "e29f546a8e797fc3743c18cc1c659778b6898b1eaeed239be0fe5c369c73c019",
     },
     "additive-identity-0": {
         "genotypes.csv": "ce0bdbe7308e10b5ca0d4b853cf7f78fc2b028458ad7d1e99bcbee98a5391ae8",
