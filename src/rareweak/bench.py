@@ -324,10 +324,10 @@ def _draw_replicate(scenario: Scenario, seed: int) -> tuple[GenotypeMatrix, Phen
 
 def _response_stats(X: np.ndarray, y: np.ndarray, trait_kind: str, needs: tuple[str, ...],
                     n_perms: int, seed: int) -> dict[str, np.ndarray]:
-    """Per requested method, the statistic of X, prepared once and row-major,
-    on y (entry 0) and on n_perms permutations of it."""
+    """Per requested method, the statistic of the panel entries X, prepared
+    once, on y (entry 0) and on n_perms permutations of it."""
     u = _unit_response(y)
-    block = _prepared_block(np.ascontiguousarray(X), (slice(None),), trait_kind, needs)
+    block = _prepared_block(X, (slice(None),), trait_kind, needs)
     observed = _observed_stats(block, u, needs)
     stats = list(_scored_slabs(block, u, n_perms, seed, needs))
     return {name: np.concatenate([observed[name]] + [s[name][0] for s in stats]) for name in needs}

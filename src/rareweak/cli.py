@@ -360,7 +360,13 @@ def load_genotype_csv(path: str, max_missing: float = 0.1,
 
     Cells are read as one-byte codes, and quality control runs on that
     block; the float64 panel is built once, from the kept columns alone.
+    A threshold outside its domain ([0, 1], or [0, 0.5] for ``maf_min``)
+    raises ``ConfigError`` before the file is read.
     """
+    for key, value, top in (("max_missing", max_missing, 1.0),
+                            ("hwe_min_pvalue", hwe_min_pvalue, 1.0), ("maf_min", maf_min, 0.5)):
+        if value is not None and not 0.0 <= value <= top:
+            raise ConfigError(f"ingest.{key} must lie in [0, {top:g}], got {value:g}")
     with _csv_records(path, "genotype file") as (header, records):
         ids = [h.strip() for h in header]
         if any(not h for h in ids):
@@ -418,7 +424,7 @@ def load_genotype_csv(path: str, max_missing: float = 0.1,
     keep = np.flatnonzero(~drop)
     if not keep.size:
         raise AllColumnsDroppedError(f"{path}: every column failed quality control")
-    codes = codes[:, keep]  # column-major, as the panel built from it
+    codes = codes.take(keep, axis=1)
     entries = codes.astype(np.float64)
     np.copyto(entries, mean[keep], where=codes == _NA_CODE)
 

@@ -60,19 +60,35 @@ StatKind = Literal["r_sigma", "r", "t", "d"]
 # domain types
 
 
+def _real_array(values, what: str) -> np.ndarray:
+    """values as a row-major float64 array.  A ragged nesting raises
+    ``DimensionMismatchError``; a dtype that is not bool, integer or real
+    float (text, complex, object) raises ``NonFiniteInputError``."""
+    try:
+        a = np.asarray(values)
+    except ValueError:
+        raise DimensionMismatchError(f"{what} are ragged: rows differ in length") from None
+    if a.dtype.kind not in "biuf":
+        raise NonFiniteInputError(f"{what} must be real numbers, got dtype {a.dtype}")
+    # order="C", not ascontiguousarray, which would make a 0-d input 1-d
+    return np.asarray(a, dtype=np.float64, order="C")
+
+
 @dataclass(frozen=True)
 class GenotypeMatrix:
     """Samples-by-SNPs panel of minor-allele counts.
 
-    ``entries`` is float64 so that imputed columns (missing cells replaced by
-    the column average) are representable; simulated panels contain exact
-    integers in {0, 1, 2}.
+    ``entries`` is row-major float64 so that imputed columns (missing cells
+    replaced by the column average) are representable; simulated panels
+    contain exact integers in {0, 1, 2}.  This is the one place a panel is
+    laid out: every statistic is computed from these entries, so none
+    depends on the memory order of the array a caller passed.
     """
 
     entries: np.ndarray
 
     def __post_init__(self):
-        e = np.asarray(self.entries, dtype=np.float64)
+        e = _real_array(self.entries, "genotype entries")
         if e.ndim != 2:
             raise DimensionMismatchError(f"genotype entries must be 2-D, got shape {e.shape}")
         if e.shape[0] < 2:
@@ -109,7 +125,7 @@ class Phenotype:
     def __post_init__(self):
         if self.kind not in ("quantitative", "binary"):
             raise ConfigError(f"phenotype kind must be quantitative or binary, got {self.kind!r}")
-        v = np.asarray(self.values, dtype=np.float64).ravel()
+        v = _real_array(self.values, "phenotype values").ravel()
         if v.size < 2:
             raise BadSampleSizeError(f"need at least 2 phenotype values, got {v.size}")
         if not np.all(np.isfinite(v)):

@@ -327,7 +327,7 @@ def simulate_genotypes(n: int, q, ld: LdSpec, seed: int, L: int) -> GenotypeMatr
         words = substream(seed, TAG_GENOTYPE).bit_generator.random_raw(L * n).reshape(L, n)
         t = np.rint(qa * 2.0 ** 32).astype(np.uint64)[:, None]
         counts = np.add((words & 0xFFFFFFFF) < t, (words >> 32) < t, dtype=np.uint8)
-        return GenotypeMatrix(entries=counts.T.astype(np.float64, order="C"))
+        return GenotypeMatrix(entries=counts.T)
     chol = _latent_chol(ld, L, qa)
 
     thresholds = ndtri(qa)  # allele present when latent value falls below

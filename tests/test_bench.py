@@ -835,6 +835,34 @@ def test_a_cutoff_does_not_depend_on_the_panels_memory_order():
                                   level=0.05, seed=2) == cut, method
 
 
+@pytest.mark.parametrize("trait_kind", ["quantitative", "binary"])
+def test_no_statistic_depends_on_the_panels_memory_order(trait_kind):
+    # a column-major panel once moved the last bits of most marginal scores
+    # and correlations; GenotypeMatrix now lays out every panel row-major
+    rng = np.random.default_rng(29)
+    X = rng.binomial(2, 0.35, size=(600, 40)).astype(float)
+    X[rng.random(X.shape) < 0.02] = 0.7  # imputed cells: not every product is exact
+    y = rng.integers(0, 2, 600).astype(float) if trait_kind == "binary" else rng.standard_normal(600)
+    F = np.asfortranarray(X)
+    assert F.flags["F_CONTIGUOUS"] and not F.flags["C_CONTIGUOUS"]
+    kinds = ("r_sigma", "r", "t") if trait_kind == "quantitative" else ("d",)
+    for kind in kinds:
+        a, b = (marginal_stats(P, y, kind, sigma=1.0) for P in (X, F))
+        assert a.values.tobytes() == b.values.tobytes(), kind
+        assert a.pvalues.tobytes() == b.pvalues.tobytes(), kind
+    assert empirical_correlation(X).tobytes() == empirical_correlation(F).tobytes()
+    if trait_kind == "binary":
+        assert case_control_zscores(X, y).tobytes() == case_control_zscores(F, y).tobytes()
+    needs = methods_for(trait_kind)
+    genes = [("a", range(0, 12)), ("b", range(8, 30)), ("c", [39, 3, 17])]
+    a, b = (gene_set_statistics(genes, P, y, needs) for P in (X, F))
+    for m in needs:
+        assert a[m].tobytes() == b[m].tobytes(), m
+    for m in ("HC", "QT"):
+        assert permutation_cutoff(m, X, y, n_perms=400, level=0.05, seed=4) == \
+            permutation_cutoff(m, F, y, n_perms=400, level=0.05, seed=4), m
+
+
 # (n, genes, SNPs per gene, methods): the first makes the product large next
 # to the statistics, so a slab or product kept a slab too long shows; the
 # second makes the statistics large next to the slab, so statistics kept

@@ -374,7 +374,7 @@ def test_load_genotypes_matches_the_reference_on_the_benchmark_panel(tmp_path, m
     got = load_genotype_csv(tmp_path / "genotypes.csv").matrix.entries
     want = _reference_load_genotype_csv(tmp_path / "genotypes.csv").matrix.entries
     assert got.tobytes() == want.tobytes()
-    assert got.flags["F_CONTIGUOUS"] and want.flags["F_CONTIGUOUS"]
+    assert got.flags["C_CONTIGUOUS"] and want.flags["C_CONTIGUOUS"]
 
 
 # --- phenotype and gene map -----------------------------------------------------
@@ -775,6 +775,30 @@ def test_an_unknown_target_gene_exits_3_before_any_ranking(tmp_path, capsys, mon
     assert _one_payload(capsys) == {"error": "EmptyGeneError", "message": "unknown gene(s) ['G9']",
                                     "exit_code": 3}
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["rank", "score"])
+@pytest.mark.parametrize("key,value", [("ingest.max_missing", "-0.5"), ("ingest.max_missing", "1.5"),
+                                       ("ingest.maf_min", "0.9"), ("ingest.maf_min", "-0.1"),
+                                       ("ingest.hwe_min_pvalue", "1.5"),
+                                       ("ingest.hwe_min_pvalue", "-1")])
+def test_an_ingest_threshold_outside_its_domain_exits_2(tmp_path, capsys, command, key, value):
+    # each once dropped every column and exited 3, blaming the data
+    cfg = _panel_files(tmp_path, [f"{v:.6f}" for v in np.random.default_rng(5).normal(size=40)])
+    with open(cfg, "a", encoding="utf-8") as fh:
+        fh.write(f"{key} = {value}\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    payload = _one_payload(capsys)
+    assert payload["error"] == "ConfigError" and payload["message"].startswith(f"{key} must lie in")
+    assert not (tmp_path / "out").exists()
+
+
+def test_ingest_thresholds_at_their_domains_edges_are_accepted(tmp_path):
+    # s1 is exactly in HWE (p-value 1) with MAF 0.5; s2 has MAF 0.375 and is not
+    p = geno_csv(tmp_path, "s1,s2\n0,1\n1,2\n1,1\n2,1\n")
+    for qc in ({"max_missing": 1.0, "hwe_min_pvalue": 0.0, "maf_min": 0.5},
+               {"max_missing": 0.0, "hwe_min_pvalue": 1.0, "maf_min": 0.0}):
+        assert load_genotype_csv(p, **qc).report.kept == ("s1",), qc
 
 
 def _one_payload(capsys):

@@ -10,6 +10,7 @@ from rareweak import (
     ConfigError,
     ConstantColumnError,
     DegenerateCorrelationError,
+    DimensionMismatchError,
     EmptyGroupError,
     GenotypeMatrix,
     MonomorphicColumnError,
@@ -296,6 +297,36 @@ def test_genotype_matrix_validation():
     gm = GenotypeMatrix(entries=np.array([[0.0, 2.0], [1.0, 0.0], [2.0, 1.0]]))
     assert gm.n == 3 and gm.n_snps == 2
     np.testing.assert_allclose(gm.maf_hat(), [0.5, 0.5])
+
+
+@pytest.mark.parametrize("entries,error", [
+    ([["a", "1"], ["1", "0"]], NonFiniteInputError),           # text, even when it parses
+    (np.array([[0, 1], [1, 2]]) + 0.5j, NonFiniteInputError),   # complex: no dropped parts
+    (np.array([[0, 1], [1, None]], dtype=object), NonFiniteInputError),
+    ([[0.0, 1.0], [1.0]], DimensionMismatchError),              # ragged
+], ids=["text", "complex", "object", "ragged"])
+def test_genotype_matrix_refuses_what_is_not_a_real_panel(entries, error):
+    with pytest.raises(error, match="genotype entries"):
+        GenotypeMatrix(entries=entries)
+
+
+@pytest.mark.parametrize("values,error", [
+    (["0.5", "1.0", "-2"], NonFiniteInputError),
+    (np.array([0.5, 1.0, -2.0]) + 1j, NonFiniteInputError),
+    ([[0.5, 1.0], [-2.0]], DimensionMismatchError),
+], ids=["text", "complex", "ragged"])
+def test_phenotype_refuses_what_is_not_a_real_response(values, error):
+    with pytest.raises(error, match="phenotype values"):
+        Phenotype(values=values)
+
+
+def test_genotype_matrix_holds_row_major_float64():
+    for entries in (np.asfortranarray(np.eye(3, 2)), np.eye(2, 3, dtype=np.uint8).T,
+                    [[True, False], [False, True]], np.eye(4)[:, ::2]):
+        e = GenotypeMatrix(entries=entries).entries
+        assert e.dtype == np.float64 and e.flags["C_CONTIGUOUS"]
+    with pytest.raises(DimensionMismatchError, match="2-D"):
+        GenotypeMatrix(entries=1.0)  # a 0-d input keeps its shape for the message
 
 
 def test_phenotype_validation():
