@@ -28,7 +28,7 @@ def main():
     print(f"{'level':>6} {'FDR r=0.4':>10} {'FDR r=0.9':>10}")
     curves = {r: fdr_curve(["HC"], Scenario.from_strength(**PROTO, r=r),
                            levels=LEVELS, n_sims=6, n_genes=60,
-                           n_signal_genes=6, seed=SEED)
+                           n_signal_genes=6, seed=SEED, perms_per_sim=2)
               for r in (0.4, 0.9)}
     for i, lv in enumerate(LEVELS):
         print(f"{lv:6.2f} {curves[0.4].fdr[0, i]:10.2f} {curves[0.9].fdr[0, i]:10.2f}")

@@ -30,7 +30,7 @@ from .errors import ConfigError
 
 RNG_ALGORITHM = "philox4x64"
 # version of the stream layout; README lists what each version changed
-RNG_STREAMS = 2
+RNG_STREAMS = 3
 
 # purpose tags for seed paths; values are arbitrary but frozen, since
 # changing them changes every stream derived from a given seed

@@ -36,8 +36,8 @@ centred with unit norm, so no slab is centred again.  Slabs hold only
 permutations: each observed statistic is its own product of the gene's
 columns with the response, on a row-major Z (``_observed_stats``).
 ``_scored_slabs`` is the one loop that scores slabs, in bounded memory:
-power replicates, ``permutation_cutoff`` and each FDR gene concatenate one
-gene's statistics over it (``_response_stats``), and a ranking chunk
+each gene of a Monte Carlo replicate and ``permutation_cutoff`` concatenate
+one gene's statistics over it (``_response_stats``), and a ranking chunk
 counts, per gene, the permuted statistics that reach its observed one.
 
 Marginal scores reach HC, HCm and DT on the N(0, 1) scale: their p-values
@@ -45,8 +45,10 @@ are the two-sided normal tail, t scores included, which permutation
 calibration absorbs (``core_stats.marginal_stats`` alone reads t scores on
 the t(n - 2) scale).
 
-Replicates draw fresh genotypes and fresh signal placements, all in
-``_draw_replicate``, which ``rareweak simulate`` calls too.  Each
+A Monte Carlo replicate is G >= 1 gene panels sharing one response built
+from the first S of them: G = S = 1 for power, G = n_genes and
+S = n_signal_genes for FDR.  It is drawn in ``_draw_replicate``, which
+``rareweak simulate`` calls too, and scored in ``_replicate_stats``.  Each
 replicate's seeds derive from the master seed and the replicate index, so
 results are identical however ``_run_chunked``, the one place work is
 split, spreads replicates over workers.
@@ -58,8 +60,8 @@ import csv
 import io
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import chain, islice
-from typing import NamedTuple, Sequence
+from itertools import chain
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -89,7 +91,7 @@ from .errors import (
     NonFiniteInputError,
     TooFewPermutationsError,
 )
-from .simgen import CoefficientScheme, LdSpec, SignalConfig, TraitModel, _trait_noise, draw_signal_config, simulate_case_control, simulate_genotypes, simulate_quantitative
+from .simgen import CoefficientScheme, LdSpec, SignalConfig, TraitModel, draw_signal_config, simulate_case_control, simulate_genotypes, simulate_quantitative
 
 METHOD_NAMES = ("HC", "HCm", "MinP", "LCT", "QT", "DT")
 
@@ -309,17 +311,31 @@ def _observed_stats(block: _Block, u: np.ndarray, needs: tuple[str, ...]) -> dic
     return {name: stats[:, 0] for name, stats in _block_stats(block, rho, u.size, needs).items()}
 
 
-def _draw_replicate(scenario: Scenario, seed: int) -> tuple[GenotypeMatrix, Phenotype, SignalConfig]:
-    """The panel, response and signal of one replicate of ``scenario``,
-    drawn from ``seed``: what a power replicate scores and what
-    ``rareweak simulate`` writes."""
-    signal = scenario.signal(seed)
-    if scenario.trait.kind == "additive":
-        X = simulate_genotypes(scenario.n, scenario.q, scenario.ld, seed=seed, L=scenario.L)
-        return X, simulate_quantitative(X, signal, scenario.trait.sigma, seed=seed), signal
-    X, y = simulate_case_control(scenario.q, scenario.ld, signal, scenario.trait.beta0,
-                                 scenario.trait.n_case, scenario.trait.n_control, seed=seed)
-    return X, y, signal
+def _draw_replicate(scenario: Scenario, seed: int, n_genes: int = 1,
+                    n_signal_genes: int = 1) -> tuple[Iterator[GenotypeMatrix], Phenotype, SignalConfig]:
+    """The gene panels, shared response and gene 0's signal of one replicate
+    of ``scenario`` drawn from ``seed``; at one gene, what ``rareweak
+    simulate`` writes.  Gene 0 draws from ``seed`` itself, gene g > 0 from
+    ``derive_seed(seed, TAG_GENE, g)``.  The response is gene 0's
+    ``simulate_quantitative`` plus X_g beta_g of the other signal genes
+    g < n_signal_genes, whose panels are drawn first and held; the rest are
+    drawn as the caller iterates.  A case/control replicate is one gene."""
+    signal = (scenario if n_signal_genes else scenario.null()).signal(seed)
+    if scenario.trait.kind != "additive":
+        X, y = simulate_case_control(scenario.q, scenario.ld, signal, scenario.trait.beta0,
+                                     scenario.trait.n_case, scenario.trait.n_control, seed=seed)
+        return iter([X]), y, signal
+    seeds = [seed] + [derive_seed(seed, TAG_GENE, g) for g in range(1, n_genes)]
+
+    def panel(gene_seed: int) -> GenotypeMatrix:
+        return simulate_genotypes(scenario.n, scenario.q, scenario.ld, seed=gene_seed, L=scenario.L)
+
+    held = [panel(s) for s in seeds[:max(1, n_signal_genes)]]
+    y = simulate_quantitative(held[0], signal, scenario.trait.sigma, seed=seed)
+    if n_signal_genes > 1:
+        genetic = sum(X.entries @ scenario.signal(s).beta for X, s in zip(held[1:], seeds[1:]))
+        y = Phenotype(values=y.values + genetic)
+    return chain(held, map(panel, seeds[len(held):])), y, signal
 
 
 def _response_stats(X: np.ndarray, y: np.ndarray, trait_kind: str, needs: tuple[str, ...],
@@ -333,11 +349,28 @@ def _response_stats(X: np.ndarray, y: np.ndarray, trait_kind: str, needs: tuple[
     return {name: np.concatenate([observed[name]] + [s[name][0] for s in stats]) for name in needs}
 
 
-def _replicate_stats(scenario: Scenario, needs: tuple[str, ...], rep_seed: int,
-                     n_perms: int) -> dict[str, np.ndarray]:
-    """One replicate's observed (entry 0) and n_perms permuted statistics."""
-    X, y, _ = _draw_replicate(scenario, rep_seed)
-    return _response_stats(X.entries, y.values, scenario.trait_kind, needs, n_perms, rep_seed)
+def _replicate_stats(scenario: Scenario, needs: tuple[str, ...], rep_seed: int, n_perms: int,
+                     n_genes: int = 1, n_signal_genes: int = 1) -> dict[str, np.ndarray]:
+    """Per method, one replicate's (n_genes, 1 + n_perms) statistics: each
+    gene's observed (column 0) and permuted ones, every gene scored on the
+    replicate's one permutation stream."""
+    panels, y, _ = _draw_replicate(scenario, rep_seed, n_genes, n_signal_genes)
+    genes = [_response_stats(X.entries, y.values, scenario.trait_kind, needs, n_perms, rep_seed)
+             for X in panels]
+    return {name: np.stack([stats[name] for stats in genes]) for name in needs}
+
+
+def _replicate_chunk(scenario: Scenario, needs: tuple[str, ...], seed: int, perms_per_sim: int,
+                     n_genes: int, n_signal_genes: int, lo: int, hi: int) -> dict[str, np.ndarray]:
+    """Per method, the (hi - lo, n_genes, 1 + perms_per_sim) statistics of
+    replicates lo..hi of the run seeded ``seed``."""
+    stats = {name: np.empty((hi - lo, n_genes, 1 + perms_per_sim)) for name in needs}
+    for i in range(lo, hi):
+        rep = _replicate_stats(scenario, needs, derive_seed(seed, TAG_REPLICATE, i), perms_per_sim,
+                               n_genes, n_signal_genes)
+        for name in needs:
+            stats[name][i - lo] = rep[name]
+    return stats
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +392,14 @@ def _check_level(level: float):
         raise ConfigError(f"level must lie in (0, 1), got {level!r}")
 
 
+def _check_pool(pooled: int, level: float):
+    """The one floor of a pooled null sample: 20 / level draws, so that its
+    upper level-quantile rests on at least 20 of them."""
+    if pooled < 20.0 / level:
+        raise TooFewPermutationsError(f"pooled null sample {pooled} too small for level {level}; "
+                                      f"need at least {int(np.ceil(20.0 / level))}")
+
+
 def _check_workers(workers: int):
     if workers < 1:
         raise ConfigError(f"need workers >= 1, got {workers}")
@@ -368,9 +409,7 @@ def permutation_cutoff(method: str, X, y, n_perms: int, level: float,
                        seed: int) -> float:
     """Rejection cutoff for one method on one dataset from fresh permutations."""
     _check_level(level)
-    if n_perms < 20.0 / level:
-        raise TooFewPermutationsError(
-            f"need at least {int(np.ceil(20.0 / level))} permutations at level {level}, got {n_perms}")
+    _check_pool(n_perms, level)
     Xa, yv, kind = validated_inputs(X, y)
     needs = _as_methods([method], kind)
     with one_thread():
@@ -392,16 +431,6 @@ class ScenarioResult:
     seed: int
     observed: np.ndarray | None = None
     nulls: np.ndarray | None = None
-
-
-def _power_chunk(scenario: Scenario, needs: tuple[str, ...], seed: int,
-                 perms_per_sim: int, lo: int, hi: int) -> dict[str, np.ndarray]:
-    stats = {name: np.empty((hi - lo, 1 + perms_per_sim)) for name in needs}
-    for i in range(lo, hi):
-        rep = _replicate_stats(scenario, needs, derive_seed(seed, TAG_REPLICATE, i), perms_per_sim)
-        for name in needs:
-            stats[name][i - lo] = rep[name]
-    return stats
 
 
 def _run_chunked(fn, n_items: int, workers: int, *args, weights: Sequence[int] | None = None):
@@ -470,18 +499,14 @@ def empirical_power(methods: Sequence[str], scenario: Scenario,
     _check_level(level)
     if n_sims < 100:
         raise BadSampleSizeError(f"need n_sims >= 100, got {n_sims}")
-    if perms_per_sim < 1:
-        raise TooFewPermutationsError("need at least one permutation per simulation")
     needs = _as_methods(methods, scenario.trait_kind)
     pooled = n_sims * perms_per_sim
-    if pooled < 20.0 / level:
-        raise TooFewPermutationsError(
-            f"pooled null sample {pooled} too small for level {level}")
+    _check_pool(pooled, level)
 
-    chunks = _run_chunked(_power_chunk, n_sims, workers, scenario, needs, seed, perms_per_sim)
+    chunks = _run_chunked(_replicate_chunk, n_sims, workers, scenario, needs, seed, perms_per_sim, 1, 1)
     results = []
     for name in needs:
-        stacked = np.concatenate([c[name] for c in chunks], axis=0)
+        stacked = np.concatenate([c[name][:, 0] for c in chunks])  # (n_sims, 1 + perms_per_sim)
         observed = stacked[:, 0]
         nulls = stacked[:, 1:].ravel()
         cutoff = _pooled_cutoff(nulls, level)
@@ -513,44 +538,15 @@ class FdrCurve:
     seed: int
 
 
-def _fdr_chunk(scenario: Scenario, needs: tuple[str, ...], seed: int,
-               n_genes: int, n_signal_genes: int, lo: int, hi: int) -> dict[str, np.ndarray]:
-    """Observed and one-permutation statistics for every gene, sims lo..hi.
-
-    Signal genes are the first ``n_signal_genes`` indices; genes are
-    exchangeable so the labelling is arbitrary.  One shared response drives
-    all genes in a simulation, and one shared permutation of it feeds the
-    null pool.  Each gene's panel comes from its own gene seed, so panels
-    are drawn lazily: the signal panels first, to build the response, and
-    every other one when it is scored, so only the signal panels are held.
-    """
-    out = {name: np.empty((hi - lo, n_genes, 2)) for name in needs}
-    for i in range(lo, hi):
-        rep_seed = derive_seed(seed, TAG_REPLICATE, i)
-        gene_seeds = [derive_seed(rep_seed, TAG_GENE, g) for g in range(n_genes)]
-        panels = (simulate_genotypes(scenario.n, scenario.q, scenario.ld, seed=s, L=scenario.L).entries
-                  for s in gene_seeds)
-        signal_panels = list(islice(panels, n_signal_genes))
-        genetic = np.zeros(scenario.n)
-        for Xg, gene_seed in zip(signal_panels, gene_seeds):
-            genetic += Xg @ scenario.signal(gene_seed).beta
-        y = genetic + _trait_noise(scenario.trait.sigma, rep_seed, scenario.n)
-        for g, Xg in enumerate(chain(signal_panels, panels)):
-            # every gene redraws the simulation's one permutation from rep_seed
-            stats = _response_stats(Xg, y, "quantitative", needs, 1, rep_seed)
-            for name in needs:
-                out[name][i - lo, g] = stats[name]
-    return out
-
-
 def fdr_curve(methods: Sequence[str], scenario: Scenario,
               levels: Sequence[float], n_sims: int, n_genes: int,
-              n_signal_genes: int, seed: int, workers: int = 1) -> FdrCurve:
+              n_signal_genes: int, seed: int, perms_per_sim: int = 1,
+              workers: int = 1) -> FdrCurve:
     """Empirical FDR when a fraction of genes carry calibrated signals.
 
     Per simulation, ``n_genes`` independent panels share one response built
-    from the ``n_signal_genes`` signal panels; each gene contributes one
-    permuted statistic to a pooled null per method.  For each level, the
+    from the ``n_signal_genes`` signal panels; each gene's ``perms_per_sim``
+    permuted statistics join one pooled null per method.  For each level, the
     cutoff is the pooled null's upper quantile and the reported FDR is the
     false-positive fraction among rejections, averaged over simulations
     (simulations with no rejections count as zero false discovery).
@@ -562,19 +558,22 @@ def fdr_curve(methods: Sequence[str], scenario: Scenario,
     if n_sims < 1:
         raise BadSampleSizeError(f"need n_sims >= 1, got {n_sims}")
     lv = np.asarray(list(levels), dtype=np.float64)
-    if lv.size == 0 or np.any(lv <= 0.0) or np.any(lv >= 1.0):
-        raise ConfigError("levels must be a non-empty collection inside (0, 1)")
+    if lv.size == 0:
+        raise ConfigError("no FDR levels given")
+    for level in lv:
+        _check_level(float(level))
     needs = _as_methods(methods, scenario.trait_kind)
+    _check_pool(n_sims * n_genes * perms_per_sim, float(lv.min()))
 
-    chunks = _run_chunked(_fdr_chunk, n_sims, workers, scenario, needs, seed,
+    chunks = _run_chunked(_replicate_chunk, n_sims, workers, scenario, needs, seed, perms_per_sim,
                           n_genes, n_signal_genes)
     fdr = np.empty((len(needs), lv.size))
     rej = np.empty_like(fdr)
     cuts = np.empty_like(fdr)
     for mi, name in enumerate(needs):
-        stats = np.concatenate([c[name] for c in chunks], axis=0)  # (n_sims, n_genes, 2)
+        stats = np.concatenate([c[name] for c in chunks])  # (n_sims, n_genes, 1 + perms_per_sim)
         observed = stats[:, :, 0]
-        nulls = stats[:, :, 1].ravel()
+        nulls = stats[:, :, 1:].ravel()
         for li, level in enumerate(lv):
             cut = _pooled_cutoff(nulls, float(level))
             rejected = observed > cut

@@ -191,7 +191,7 @@ _KEYS: dict[str, tuple[Callable[[str], object], object]] = {
     "execution.workers": (_parse_int, "1"),
     "execution.n_sims": (_parse_int, REQUIRED),
     "execution.n_perms": (_parse_int, "10000"),
-    "execution.perms_per_sim": (_parse_int, "1"),
+    "execution.perms_per_sim": (_parse_int, "1"),  # power and fdr
     "execution.level": (_parse_float, "0.05"),
     # its default depends on the subcommand and the trait: the caller passes it
     "analysis.methods": (_parse_str_list, REQUIRED),
@@ -630,7 +630,7 @@ def _cmd_simulate(cfg: Config, seed: int, workers: int) -> tuple[dict[str, str],
     if len(scenarios) != 1:
         raise ConfigError("simulate wants exactly one scenario; "
                           "use single-valued scenario.r/beta and scenario.ld")
-    X, y, signal = _draw_replicate(scenarios[0], seed)
+    (X,), y, signal = _draw_replicate(scenarios[0], seed)
     ids = [f"snp_{j + 1}" for j in range(X.n_snps)]
     geno_rows = [[int(v) for v in row] for row in X.entries]
     texts = {"genotypes": csv_text(ids, geno_rows),
@@ -694,7 +694,8 @@ def _cmd_fdr(cfg: Config, seed: int, workers: int) -> tuple[dict[str, str], dict
                         n_sims=cfg.get("execution.n_sims"),
                         n_genes=cfg.get("fdr.n_genes"),
                         n_signal_genes=cfg.get("fdr.n_signal_genes"),
-                        seed=seed, workers=workers)
+                        seed=seed, perms_per_sim=cfg.get("execution.perms_per_sim"),
+                        workers=workers)
               for sc in scenarios]
     return {"fdr": fdr_table_csv(curves)}, {}
 

@@ -116,8 +116,8 @@ class GenotypeMatrix:
 
 @dataclass(frozen=True)
 class Phenotype:
-    """Response vector, either a quantitative trait or 0/1 case status; a
-    binary one holding other values raises ``NonFiniteInputError``."""
+    """Response vector, 1-D or one column: a quantitative trait or 0/1 case
+    status; a binary one holding other values raises ``NonFiniteInputError``."""
 
     values: np.ndarray
     kind: TraitKind = "quantitative"
@@ -125,7 +125,10 @@ class Phenotype:
     def __post_init__(self):
         if self.kind not in ("quantitative", "binary"):
             raise ConfigError(f"phenotype kind must be quantitative or binary, got {self.kind!r}")
-        v = _real_array(self.values, "phenotype values").ravel()
+        v = _real_array(self.values, "phenotype values")
+        if v.ndim != 1 and v.shape[1:] != (1,):
+            raise DimensionMismatchError(f"phenotype values must be 1-D or one column, got shape {v.shape}")
+        v = v.ravel()
         if v.size < 2:
             raise BadSampleSizeError(f"need at least 2 phenotype values, got {v.size}")
         if not np.all(np.isfinite(v)):

@@ -465,21 +465,16 @@ class TraitModel:
 
 def simulate_quantitative(X: GenotypeMatrix, signal: SignalConfig,
                           sigma: float, seed: int) -> Phenotype:
-    """Additive trait: X beta plus independent N(0, sigma^2) noise, zero intercept."""
+    """Additive trait: X beta plus independent N(0, sigma^2) noise from the
+    trait stream of ``seed``, zero intercept."""
     if not np.isfinite(sigma) or sigma < 0.0:
         raise NonPositiveSigmaError(f"sigma must be non-negative, got {sigma!r}")
     if signal.L != X.n_snps:
         raise DimensionMismatchError(f"signal is for L={signal.L}, panel has {X.n_snps}")
     y = X.entries @ signal.beta
     if sigma > 0.0:
-        y = y + _trait_noise(sigma, seed, X.n)
+        y = y + sigma * substream(seed, TAG_TRAIT).standard_normal(X.n)
     return Phenotype(values=y, kind="quantitative")
-
-
-def _trait_noise(sigma: float, seed: int, n: int) -> np.ndarray:
-    """n N(0, sigma^2) draws from the trait stream of ``seed``: the noise of
-    ``simulate_quantitative``, and of the response that FDR genes share."""
-    return sigma * substream(seed, TAG_TRAIT).standard_normal(n)
 
 
 # population rows drawn before a case/control sampler checks for a stalled quota

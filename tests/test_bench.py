@@ -421,7 +421,7 @@ def test_power_retains_replicate_statistics_on_request():
 def test_fdr_all_genes_signal_gives_zero():
     sc = quick_scenario(L=10, n=120)
     curve = fdr_curve(["HC"], sc, levels=[0.1, 0.3], n_sims=4,
-                      n_genes=12, n_signal_genes=12, seed=41)
+                      n_genes=12, n_signal_genes=12, seed=41, perms_per_sim=5)
     np.testing.assert_array_equal(curve.fdr, 0.0)
     assert np.all(curve.mean_rejections >= 0.0)
 
@@ -452,12 +452,39 @@ def test_fdr_validation():
 def test_fdr_determinism_across_workers():
     sc = quick_scenario(L=8, n=100)
     a = fdr_curve(["HC", "QT"], sc, levels=[0.1, 0.2], n_sims=6,
-                  n_genes=10, n_signal_genes=3, seed=47, workers=1)
+                  n_genes=10, n_signal_genes=3, seed=47, perms_per_sim=4, workers=1)
     b = fdr_curve(["HC", "QT"], sc, levels=[0.1, 0.2], n_sims=6,
-                  n_genes=10, n_signal_genes=3, seed=47, workers=3)
+                  n_genes=10, n_signal_genes=3, seed=47, perms_per_sim=4, workers=3)
     np.testing.assert_array_equal(a.fdr, b.fdr)
     np.testing.assert_array_equal(a.cutoffs, b.cutoffs)
     assert fdr_table_csv([a]) == fdr_table_csv([b])
+
+
+def test_fdr_at_one_gene_is_a_power_run():
+    # one gene that carries the signal: the FDR replicate is the power replicate
+    sc = quick_scenario(L=10, n=120)
+    power = empirical_power(["HC", "QT"], sc, n_sims=100, level=0.2, seed=53)
+    curve = fdr_curve(["HC", "QT"], sc, levels=[0.2], n_sims=100, n_genes=1,
+                      n_signal_genes=1, seed=53, perms_per_sim=1)
+    for mi, res in enumerate(power):
+        assert curve.cutoffs[mi, 0] == res.cutoff
+        assert curve.mean_rejections[mi, 0] == res.power
+
+
+def test_an_fdr_pool_under_the_floor_is_refused_before_any_panel_is_drawn(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a panel was drawn")
+    monkeypatch.setattr(bench, "simulate_genotypes", refuse)
+    sc = quick_scenario(L=8, n=100)
+    # 2 simulations x 4 genes x 12 permutations = 96 draws, under 20 / 0.2,
+    # the floor of the smallest level
+    for perms in (12, 0):
+        with pytest.raises(TooFewPermutationsError, match="need at least 100"):
+            fdr_curve(["HC"], sc, levels=[0.5, 0.2], n_sims=2, n_genes=4, n_signal_genes=1,
+                      seed=3, perms_per_sim=perms)
+    with pytest.raises(AssertionError, match="a panel was drawn"):  # 104 draws pass
+        fdr_curve(["HC"], sc, levels=[0.5, 0.2], n_sims=2, n_genes=4, n_signal_genes=1,
+                  seed=3, perms_per_sim=13)
 
 
 # --- gene ranking -------------------------------------------------------------
@@ -806,7 +833,7 @@ def test_a_replicates_observed_statistic_does_not_depend_on_its_permutation_coun
         for perms in (3, 200):
             again = bench._replicate_stats(power_identity_scenario(), needs, rep_seed, perms)
             for m in needs:
-                assert again[m][0] == first[m][0], (m, i, perms)
+                assert again[m][0, 0] == first[m][0, 0], (m, i, perms)
 
 
 @pytest.mark.parametrize("scenario", [
@@ -819,12 +846,12 @@ def test_a_replicates_observed_statistic_is_what_score_writes(scenario):
     needs = methods_for(scenario.trait_kind)
     for i in range(3):
         rep_seed = bench.derive_seed(1, bench.TAG_REPLICATE, i)
-        X, y, _ = bench._draw_replicate(scenario, rep_seed)
+        (X,), y, _ = bench._draw_replicate(scenario, rep_seed)
         scored = gene_set_statistics([("all", range(scenario.L))], X, y, needs)
         with _blas.one_thread():  # as every power chunk runs
             stats = bench._replicate_stats(scenario, needs, rep_seed, 4)
         for m in needs:
-            assert stats[m][0] == scored[m][0], (m, i)
+            assert stats[m][0, 0] == scored[m][0], (m, i)
 
 
 def test_a_cutoff_does_not_depend_on_the_panels_memory_order():
@@ -1000,7 +1027,8 @@ def test_every_entry_point_scores_through_the_slab_loop(monkeypatch):
         raise AssertionError("scored outside _scored_slabs")
     monkeypatch.setattr(bench, "_stats_for_columns", refuse)
     sc = quick_scenario(L=8, n=100)
-    fdr_curve(["HC", "QT"], sc, levels=[0.2], n_sims=2, n_genes=4, n_signal_genes=1, seed=3)
+    fdr_curve(["HC", "QT"], sc, levels=[0.2], n_sims=2, n_genes=4, n_signal_genes=1, seed=3,
+              perms_per_sim=13)
     empirical_power(["HC", "MinP"], sc, n_sims=100, level=0.2, seed=3)
     X, y = rank_panel()
     permutation_cutoff("HC", X, y, n_perms=100, level=0.2, seed=3)
@@ -1018,7 +1046,7 @@ def test_a_worker_count_below_one_is_refused(workers):
         empirical_power(["HC"], sc, n_sims=100, level=0.2, seed=3, workers=workers)
     with refused:
         fdr_curve(["HC"], sc, levels=[0.2], n_sims=2, n_genes=4, n_signal_genes=1, seed=3,
-                  workers=workers)
+                  perms_per_sim=13, workers=workers)
     with refused:
         rank_gene_sets([("a", [0, 1])], X, y, ["HC"], n_perms=100, seed=3, workers=workers)
 

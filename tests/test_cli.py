@@ -655,6 +655,7 @@ fdr.levels = 0.1,0.2
 fdr.n_genes = 6
 fdr.n_signal_genes = 2
 execution.n_sims = 3
+execution.perms_per_sim = 12
 execution.seed = 4
 """)
     out = tmp_path / "out"
@@ -663,6 +664,27 @@ execution.seed = 4
     assert len(rows) == 2 and all(r["method"] == "HC" for r in rows)
     assert all(0.0 <= float(r["fdr"]) <= 1.0 for r in rows)
     assert all(r["n_signal_genes"] == "2" for r in rows)
+
+
+def test_fdr_under_the_pooled_null_floor_exits_4(tmp_path, capsys):
+    # 3 simulations x 6 genes x 11 permutations = 198 draws, under 20 / 0.1
+    cfg = write(tmp_path / "f.cfg", """
+scenario.L = 8
+scenario.n = 60
+scenario.q = 0.4
+scenario.k = 2
+scenario.beta = 0.6
+fdr.levels = 0.1,0.2
+fdr.n_genes = 6
+fdr.n_signal_genes = 2
+execution.n_sims = 3
+execution.perms_per_sim = 11
+""")
+    assert main(["fdr", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "TooFewPermutationsError" and err["exit_code"] == 4
+    assert "need at least 200" in err["message"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_exit_codes(tmp_path, capsys):
@@ -961,7 +983,7 @@ def test_every_sidecar_records_the_stream_version(tmp_path):
     assert [p.name for p in sidecars] == ["genotypes.meta.json", "phenotype.meta.json"]
     for path in sidecars:
         meta = json.loads(path.read_text())
-        assert meta["rng"] == "philox4x64" and meta["rng_streams"] == 2
+        assert meta["rng"] == "philox4x64" and meta["rng_streams"] == 3
 
 
 def test_run_leaves_the_config_it_is_given_unchanged(tmp_path):

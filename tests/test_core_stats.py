@@ -338,6 +338,14 @@ def test_phenotype_validation():
     assert ph.n_case == 2 and ph.n_control == 1
 
 
+def test_phenotype_takes_one_column_and_refuses_other_shapes():
+    assert Phenotype(values=np.arange(3.0).reshape(3, 1)).values.shape == (3,)
+    X = np.random.default_rng(3).binomial(2, 0.4, size=(6, 2)).astype(float)
+    # a (3, 2) response used to be flattened and scored as 6 samples
+    with pytest.raises(DimensionMismatchError, match="1-D or one column"):
+        marginal_stats(X, np.arange(6.0).reshape(3, 2), "t")
+
+
 def test_phenotype_kind_is_checked_at_construction():
     # an unknown kind used to pass and fail later, inside the score kernel
     with pytest.raises(ConfigError, match="quantitative or binary"):

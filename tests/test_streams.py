@@ -1,11 +1,13 @@
 """The random streams behind the CLI's artifacts, pinned.
 
 The digests below are sha256 sums of artifacts written by small ``power``,
-``fdr`` and ``simulate`` runs.  They were taken before the Monte Carlo
-replicate draw was gathered into ``bench._draw_replicate``, so a refactor
-that moves any draw (panel, signal, trait noise, case/control sampling or
-permutation) fails here.  A declared change to the stream layout updates
-them together with ``_rng.RNG_STREAMS``.
+``fdr`` and ``simulate`` runs, so a refactor that moves any draw (panel,
+signal, trait noise, case/control sampling or permutation) fails here.  The
+``power`` and ``simulate`` digests predate ``bench._draw_replicate``; the
+``fdr`` digest is from ``rng_streams`` 3, where an FDR simulation became a
+many-gene replicate of that one engine.  Its config meets the pooled-null
+floor: 3 simulations x 8 genes x 9 permutations reach 20 / 0.1.  A declared
+change to the stream layout updates them together with ``_rng.RNG_STREAMS``.
 
 The module also checks where stream knowledge sits: the purpose tags that
 lay out simulated panels and traits are named only by ``_rng`` and
@@ -54,6 +56,7 @@ fdr.levels = 0.1,0.2
 fdr.n_genes = 8
 fdr.n_signal_genes = 3
 execution.n_sims = 3
+execution.perms_per_sim = 9
 """
 
 _TRAITS = {
@@ -75,7 +78,7 @@ PINNED = {
         "power.csv": "1847cd67231c04b2a9e4c4e2bd94175462496f4090c499f816272e4b9adc38f0",
     },
     "fdr": {
-        "fdr.csv": "e29f546a8e797fc3743c18cc1c659778b6898b1eaeed239be0fe5c369c73c019",
+        "fdr.csv": "72e9d2ddf65998dfbbb8170ceac71191ea48822349db1005042fd90ebbe5257f",
     },
     "additive-identity-0": {
         "genotypes.csv": "ce0bdbe7308e10b5ca0d4b853cf7f78fc2b028458ad7d1e99bcbee98a5391ae8",
