@@ -11,7 +11,6 @@ import numpy as np
 
 from rareweak import (
     beta_from_r,
-    classify_regime,
     detection_boundary,
     heritability,
     minp_boundary,
@@ -42,8 +41,12 @@ def main():
     print("signal strength, which is the regime the higher-criticism scan wins.")
     print()
     for alpha, r in [(0.76, 0.4), (0.76, 0.9), (0.6, 0.05), (0.6, 0.1)]:
-        point = classify_regime(alpha, r)
-        print(f"alpha={alpha}, r={r}: {point.regime}")
+        edge = detection_boundary(alpha)
+        if np.isclose(r, edge):
+            side = "on the boundary"
+        else:
+            side = "detectable" if r > edge else "undetectable"
+        print(f"alpha={alpha}, r={r}: {side} (r* = {edge:.4f})")
 
 
 if __name__ == "__main__":

@@ -3,9 +3,9 @@
 Builds one panel with three weak planted signals, walks through the
 marginal statistics, and shows the two equivalent faces of the statistic:
 the order-statistic profile over p-values and the supremum of centered
-exceedance counts over thresholds.  Ends with the Benjamini-Hochberg
-index for contrast: selection wants individually-strong signals, the
-scan only needs their mass.
+exceedance counts over thresholds.  Ends with the smallest p-value for
+contrast: Bonferroni wants one individually-strong signal, the scan only
+needs their mass.
 """
 
 import numpy as np
@@ -13,7 +13,6 @@ import numpy as np
 from rareweak import (
     CoefficientScheme,
     LdSpec,
-    bh_select,
     draw_signal_config,
     hc_threshold_scan,
     higher_criticism,
@@ -53,11 +52,7 @@ def main():
 
     print(f"\nsmallest p alone: {min_pvalue(marg.pvalues):.2e} "
           f"(bonferroni-significant at 0.05: {min_pvalue(marg.pvalues) < 0.05 / L})")
-    k_bh = bh_select(marg.pvalues, 0.05)
-    found = len(set(order[:k_bh]) & set(int(j) for j in signal.support))
-    print(f"benjamini-hochberg at q=0.05 selects {k_bh} column(s), "
-          f"recovering {found} of the 3 planted")
-    print("\nindividually-weak signals ride under selection thresholds;")
+    print("\nindividually-weak signals ride under the bonferroni threshold;")
     print("the scan pools their mass to decide the panel is not null.")
 
 

@@ -4,8 +4,8 @@ permutation benchmarks for panels of rare, weak signals.
 The package splits into five layers, lowest first:
 
 * ``core_stats``  marginal scores per column and their p-values;
-* ``detectors``   set-level statistics over scores or p-values;
 * ``boundary``    rare/weak calibration and the detectability boundary;
+* ``detectors``   set-level statistics over scores or p-values;
 * ``simgen``      correlated genotype panels and trait models;
 * ``bench``       permutation-calibrated power / FDR / ranking studies;
 
@@ -31,14 +31,11 @@ from .bench import (
 )
 from .boundary import (
     BoundaryCurve,
-    PhasePoint,
     beta_from_r,
     boundary_curve,
-    classify_regime,
     detection_boundary,
     heritability,
     minp_boundary,
-    r_from_beta,
     signal_count,
 )
 from .core_stats import (
@@ -48,7 +45,6 @@ from .core_stats import (
     case_control_zscores,
     marginal_correlations,
     marginal_stats,
-    normal_sf,
     pvalues_two_sided,
     tstats_from_correlation,
     zscores_from_correlation,
@@ -56,7 +52,6 @@ from .core_stats import (
 )
 from .detectors import (
     HcResult,
-    bh_select,
     check_row_sparsity,
     cholesky_lower,
     decorrelation_test,
@@ -133,16 +128,15 @@ __all__ = [
     "GenotypeMatrix", "Phenotype", "MarginalStats",
     "marginal_correlations", "marginal_stats", "zscores_known_sigma",
     "zscores_from_correlation", "tstats_from_correlation",
-    "case_control_zscores", "pvalues_two_sided", "normal_sf",
+    "case_control_zscores", "pvalues_two_sided",
     # detectors
     "HcResult", "higher_criticism",
     "hc_threshold_scan", "hc_discretized", "hc_grid_start", "min_pvalue",
-    "bh_select", "empirical_correlation", "linear_combination_test",
+    "empirical_correlation", "linear_combination_test",
     "quadratic_test", "decorrelation_test", "cholesky_lower", "check_row_sparsity",
     # boundary
-    "PhasePoint", "BoundaryCurve", "detection_boundary",
-    "minp_boundary", "beta_from_r", "r_from_beta", "heritability",
-    "signal_count", "classify_regime", "boundary_curve",
+    "BoundaryCurve", "detection_boundary", "minp_boundary", "beta_from_r",
+    "heritability", "signal_count", "boundary_curve",
     # simgen
     "LdSpec", "build_ld", "six_toeplitz_designs", "solve_latent_correlation",
     "simulate_genotypes", "CoefficientScheme", "SignalConfig",

@@ -605,15 +605,22 @@ class GeneRanking:
 
     def average_ranks(self, gene_names: Sequence[str]) -> dict[str, float]:
         """Mean rank over a target subset, per method."""
+        _require_genes(gene_names, self.genes)
         wanted = set(gene_names)
-        _require_genes(wanted, self.genes)
         idx = [i for i, g in enumerate(self.genes) if g in wanted]
         return {m: float(self.ranks[mi, idx].mean()) for mi, m in enumerate(self.methods)}
 
 
 def _require_genes(gene_names: Sequence[str], known: Sequence[str]) -> None:
-    """Raise ``EmptyGeneError`` naming every gene of gene_names not in known."""
-    missing = sorted(set(gene_names) - set(known))
+    """Raise ``ConfigError`` naming the first gene that gene_names repeats (a
+    mean rank would count it once), then ``EmptyGeneError`` naming every gene
+    of gene_names not in known."""
+    seen: set[str] = set()
+    for gene in gene_names:
+        if gene in seen:
+            raise ConfigError(f"target gene {gene!r} is repeated")
+        seen.add(gene)
+    missing = sorted(seen - set(known))
     if missing:
         raise EmptyGeneError(missing[0], f"unknown gene(s) {missing}")
 
@@ -674,20 +681,24 @@ def _gene_columns(genes: Sequence[tuple[str, Sequence[int]]],
                   n_cols: int) -> tuple[tuple[str, ...], tuple[np.ndarray, ...]]:
     """Gene names and their validated column indices into an n_cols-wide panel,
     sorted: DT whitens in column order, so a gene map's row order must not
-    reach it."""
-    names: list[str] = []
-    slices: list[np.ndarray] = []
+    reach it.  A gene given twice, or a column index repeated inside one
+    gene, raises ``DimensionMismatchError``; two genes may share columns."""
+    columns: dict[str, np.ndarray] = {}
     for name, idx in genes:
+        name = str(name)
+        if name in columns:
+            raise DimensionMismatchError(f"gene {name!r} is given twice")
         ia = np.sort(np.asarray(idx, dtype=np.int64))
         if ia.size == 0:
-            raise EmptyGeneError(str(name))
+            raise EmptyGeneError(name)
         if np.any(ia < 0) or np.any(ia >= n_cols):
             raise DimensionMismatchError(f"gene {name!r} has column indices outside the panel")
-        names.append(str(name))
-        slices.append(ia)
-    if not names:
+        if np.any(ia[1:] == ia[:-1]):
+            raise DimensionMismatchError(f"gene {name!r} lists a column index twice")
+        columns[name] = ia
+    if not columns:
         raise EmptyGeneError("<none>", "no gene sets given")
-    return tuple(names), tuple(slices)
+    return tuple(columns), tuple(columns.values())
 
 
 def gene_set_statistics(genes: Sequence[tuple[str, Sequence[int]]], X, y,

@@ -27,7 +27,6 @@ from .errors import (
     NonPositiveSigmaError,
 )
 
-Regime = Literal["detectable", "undetectable", "on_boundary"]
 CurveMode = Literal["optimal", "minp"]
 
 
@@ -101,16 +100,6 @@ def beta_from_r(r, L: int, n: int, q=0.5, sigma: float = 1.0):
     return beta if beta.ndim else float(beta)
 
 
-def r_from_beta(beta, L: int, n: int, q=0.5, sigma: float = 1.0):
-    """Inverse of ``beta_from_r`` on the same panel."""
-    _check_panel(L, n, q, sigma)
-    q = np.asarray(q, dtype=np.float64)
-    b = np.asarray(beta, dtype=np.float64)
-    tau_sq = b * b * 2.0 * n * q * (1.0 - q) / (sigma ** 2)
-    r = tau_sq / (2.0 * np.log(L))
-    return r if r.ndim else float(r)
-
-
 def heritability(beta, q, sigma: float) -> float:
     """Fraction of trait variance explained by the listed coefficients.
 
@@ -127,29 +116,6 @@ def heritability(beta, q, sigma: float) -> float:
         raise NonFiniteInputError("allele frequency q must lie in (0, 1)")
     genetic = float(np.sum(b * b * 2.0 * qa * (1.0 - qa)))
     return genetic / (genetic + sigma ** 2)
-
-
-@dataclass(frozen=True)
-class PhasePoint:
-    alpha: float
-    r: float
-    regime: Regime
-
-
-def classify_regime(alpha: float, r: float, tol: float = 1e-12) -> PhasePoint:
-    """Which side of the detectability boundary (alpha, r) falls on."""
-    a = _check_alpha(alpha)
-    rv = float(r)
-    if not np.isfinite(rv) or rv <= 0.0:
-        raise NonFiniteInputError(f"strength exponent r must be positive, got {r!r}")
-    edge = detection_boundary(a)
-    if abs(rv - edge) <= tol:
-        regime: Regime = "on_boundary"
-    elif rv > edge:
-        regime = "detectable"
-    else:
-        regime = "undetectable"
-    return PhasePoint(alpha=a, r=rv, regime=regime)
 
 
 @dataclass(frozen=True)

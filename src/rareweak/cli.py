@@ -705,10 +705,7 @@ def _cmd_rank(cfg: Config, seed: int, workers: int) -> tuple[dict[str, str], dic
     genes = load_gene_map(cfg.get("io.gene_map"), loaded.report.kept, loaded.report.snps)
     methods = _methods_from_cfg(cfg, trait_kind)
     targets = cfg.get("rank.target_genes")
-    for i, gene in enumerate(targets or ()):
-        if gene in targets[:i]:  # mean_rank would count it once, n_genes twice
-            raise ConfigError(f"rank.target_genes: gene {gene!r} is repeated")
-    # an unknown target exits before any permutation is drawn
+    # a repeated or unknown target exits before any permutation is drawn
     _require_genes(targets or (), [gene for gene, _ in genes])
     ranking = rank_gene_sets(genes, loaded.matrix, pheno, methods,
                              n_perms=cfg.get("execution.n_perms"),

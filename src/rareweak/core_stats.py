@@ -306,11 +306,6 @@ def _two_sided_p(s: np.ndarray) -> np.ndarray:
     return np.maximum(erfc(np.abs(s) / np.sqrt(2.0)), P_FLOOR)
 
 
-def normal_sf(x) -> np.ndarray | float:
-    """Upper tail of the standard normal, accurate far into the tail."""
-    return 0.5 * erfc(np.asarray(x) / np.sqrt(2.0))
-
-
 # ---------------------------------------------------------------------------
 # statistics
 

@@ -11,9 +11,9 @@ deliberately separate: the order-statistic form above and a threshold-scan
 form that counts exceedances of |score| thresholds.  Their agreement is a
 correctness check, so neither is implemented in terms of the other.
 
-Also here: the min-p detector, Benjamini-Hochberg selection, and three
-covariance-aware aggregate tests (linear combination, quadratic form, and
-decorrelated log-p sum) that share one Cholesky factorisation.
+Also here: the min-p detector and three covariance-aware aggregate tests
+(linear combination, quadratic form, and decorrelated log-p sum) that
+share one Cholesky factorisation.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from scipy.special import erfc
 from .boundary import detection_boundary
 from .core_stats import _standardised, _two_sided_p, as_genotype_matrix
 from .errors import (
-    AlphaOutOfRangeError,
     BadRangeError,
     BadSampleSizeError,
     DegenerateGridPointError,
@@ -114,7 +113,7 @@ def higher_criticism(pvalues) -> HcResult:
 def hc_threshold_scan(stats, thresholds) -> float:
     """Threshold-scan higher criticism over explicit |score| cutoffs.
 
-    At cutoff t with upper tail F = P(|N(0,1)| > t) = 2 * normal_sf(t), the
+    At cutoff t with upper tail F = P(|N(0,1)| > t) = erfc(t / sqrt 2), the
     objective is (#{|s_j| > t} - L F) / sqrt(L F (1 - F)); the scan returns
     the maximum over the given cutoffs.  Each cutoff must satisfy
     0 < F < 1, i.e. t > 0 and t below the erfc underflow point.
@@ -131,7 +130,7 @@ def hc_threshold_scan(stats, thresholds) -> float:
         raise NonFiniteInputError("threshold grid contains non-finite values")
 
     L = s.size
-    tail = erfc(t / np.sqrt(2.0))  # 2 * normal_sf(t)
+    tail = erfc(t / np.sqrt(2.0))  # P(|N(0,1)| > t)
     degenerate = (t <= 0.0) | (tail <= 0.0)
     if np.any(degenerate):
         raise DegenerateGridPointError(float(t[np.flatnonzero(degenerate)[0]]))
@@ -180,21 +179,6 @@ def min_pvalue(pvalues) -> float:
     """Smallest p-value; the classical max-statistic detector."""
     p = _validated_pvalues(pvalues)
     return float(p.min())
-
-
-def bh_select(pvalues, alpha_fdr: float) -> int:
-    """Benjamini-Hochberg selection count at FDR budget alpha_fdr.
-
-    Returns the largest k with p_(k) * L / k <= alpha_fdr, or 0 when no
-    index qualifies.
-    """
-    if not (0.0 < alpha_fdr < 1.0):
-        raise AlphaOutOfRangeError(f"FDR budget must lie in (0, 1), got {alpha_fdr!r}")
-    p = np.sort(_validated_pvalues(pvalues))
-    L = p.size
-    k = np.arange(1, L + 1, dtype=np.float64)
-    passing = np.flatnonzero(p * L / k <= alpha_fdr)
-    return int(passing[-1] + 1) if passing.size else 0
 
 
 # ---------------------------------------------------------------------------

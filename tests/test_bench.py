@@ -17,6 +17,7 @@ from rareweak import (
     ConfigError,
     ConstantColumnError,
     DegenerateCorrelationError,
+    DimensionMismatchError,
     EmptyGeneError,
     EmptyGroupError,
     LdSpec,
@@ -244,6 +245,20 @@ def test_gene_columns_are_checked_before_any_draw_naming_the_panel_column(no_per
     with pytest.raises(MonomorphicColumnError) as err:
         rank_gene_sets(genes, monomorphic, labels, ["HC"], n_perms=100, seed=1)
     assert err.value.index == 7
+
+
+
+@pytest.mark.parametrize("genes, message", [
+    ([("a", [0, 1]), ("b", [2, 3]), ("a", [4, 5])], "gene 'a' is given twice"),
+    ([("b", [2, 3]), ("a", [0, 1, 0])], "gene 'a' lists a column index twice"),
+], ids=["gene_twice", "column_twice"])
+def test_a_repeated_gene_or_column_is_refused_before_any_draw(no_permutations, genes, message):
+    # a repeated column would weigh its SNP twice, and make QT's Cholesky fail
+    X, y = rank_panel()
+    with pytest.raises(DimensionMismatchError, match=message):
+        gene_set_statistics(genes, X, y, ["HC", "QT"])
+    with pytest.raises(DimensionMismatchError, match=message):
+        rank_gene_sets(genes, X, y, ["HC"], n_perms=100, seed=1)
 
 
 def collinear_panel():
@@ -996,6 +1011,15 @@ def test_rank_average_over_target_genes():
     assert avg["HC"] == pytest.approx((ranking.ranks[0, 0] + ranking.ranks[0, 2]) / 2)
     with pytest.raises(EmptyGeneError):
         ranking.average_ranks(["zzz"])
+
+
+def test_average_ranks_refuses_a_repeated_target_before_an_unknown_one():
+    X, y = rank_panel(seed=61, L=12)
+    ranking = rank_gene_sets([("a", [0, 1]), ("b", [2, 3])], X, y, ["HC"], n_perms=100, seed=9)
+    with pytest.raises(ConfigError, match="'a' is repeated"):
+        ranking.average_ranks(["a", "a", "b"])
+    with pytest.raises(ConfigError, match="'zzz' is repeated"):
+        ranking.average_ranks(["zzz", "b", "zzz"])
 
 
 def test_rank_surfaces_planted_gene():

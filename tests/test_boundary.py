@@ -12,11 +12,9 @@ from rareweak import (
     NonPositiveSigmaError,
     beta_from_r,
     boundary_curve,
-    classify_regime,
     detection_boundary,
     heritability,
     minp_boundary,
-    r_from_beta,
     signal_count,
 )
 
@@ -29,6 +27,12 @@ H2_R04 = 0.010931588070053705
 H2_R09 = 0.024264511107436167
 
 PANEL = dict(L=100, n=1000, q=0.4, sigma=1.0)
+
+
+def r_from_beta(beta, L, n, q, sigma):
+    """The strength exponent of a coefficient, beta_from_r's closed-form
+    inverse: r = beta^2 2nq(1-q) / (2 sigma^2 ln L)."""
+    return beta * beta * 2.0 * n * q * (1.0 - q) / (2.0 * sigma ** 2 * np.log(L))
 
 
 def test_detection_boundary_sparse_branch():
@@ -133,8 +137,6 @@ def test_calibration_rejects_a_bad_panel(bad, error):
     with pytest.raises(error):
         beta_from_r(0.4, **panel)
     with pytest.raises(error):
-        r_from_beta(0.1, **panel)
-    with pytest.raises(error):
         boundary_curve([0.6], "optimal", **panel)
 
 
@@ -142,20 +144,6 @@ def test_calibration_rejects_a_bad_panel(bad, error):
 def test_beta_from_r_rejects_a_bad_strength(r):
     with pytest.raises(NonFiniteInputError):
         beta_from_r(r, **PANEL)
-
-
-def test_classify_regime():
-    assert classify_regime(0.76, 0.5).regime == "detectable"
-    assert classify_regime(0.76, 0.1).regime == "undetectable"
-    on = classify_regime(0.75, 0.25)
-    assert on.regime == "on_boundary"
-    assert classify_regime(0.6, 0.1).regime == "on_boundary"
-
-
-def test_classify_regime_tolerance_band():
-    r = detection_boundary(0.8)
-    assert classify_regime(0.8, r + 1e-13).regime == "on_boundary"
-    assert classify_regime(0.8, r + 1e-6).regime == "detectable"
 
 
 def test_heritability_zero_and_monotone():

@@ -20,7 +20,6 @@ from rareweak import (
     case_control_zscores,
     marginal_correlations,
     marginal_stats,
-    normal_sf,
     pvalues_two_sided,
     tstats_from_correlation,
     zscores_from_correlation,
@@ -227,11 +226,6 @@ def test_pvalues_floor_keeps_logs_finite():
     p = pvalues_two_sided(np.array([40.0, 300.0]))
     assert np.all(p >= 1e-300)
     assert np.all(np.isfinite(np.log(p)))
-
-
-def test_normal_sf_matches_scipy():
-    x = np.linspace(-5, 38, 200)
-    np.testing.assert_allclose(normal_sf(x), norm.sf(x), rtol=1e-12)
 
 
 def test_joint_row_permutation_leaves_statistics_unchanged():

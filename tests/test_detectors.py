@@ -1,4 +1,4 @@
-"""Set-level detectors: the HC family, MinP, BH, and covariance-aware tests."""
+"""Set-level detectors: the HC family, MinP, and covariance-aware tests."""
 
 import numpy as np
 import pytest
@@ -15,7 +15,6 @@ from rareweak import (
     NotPositiveDefiniteError,
     NotSquareError,
     PValueOutOfRangeError,
-    bh_select,
     check_row_sparsity,
     decorrelation_test,
     empirical_correlation,
@@ -195,31 +194,6 @@ def test_min_pvalue():
     assert min_pvalue([0.7, 0.7, 0.7]) == 0.7
     with pytest.raises(EmptyInputError):
         min_pvalue([])
-
-
-def test_bh_hand_example():
-    assert bh_select([0.01, 0.02, 0.9], 0.05) == 2
-
-
-def test_bh_empty_and_full_selection():
-    assert bh_select([0.99, 0.99, 0.99], 0.05) == 0
-    L = 8
-    p = 0.05 * np.arange(1, L + 1) / (2 * L)
-    assert bh_select(p, 0.05) == L
-
-
-@settings(deadline=None, max_examples=40)
-@given(st.lists(st.floats(1e-9, 1.0), min_size=1, max_size=30),
-       st.floats(0.01, 0.3), st.floats(0.0, 0.3))
-def test_bh_monotone_in_alpha(ps, a1, bump):
-    a2 = min(a1 + bump, 0.99)
-    assert bh_select(ps, a1) <= bh_select(ps, a2)
-
-
-@settings(deadline=None, max_examples=30)
-@given(st.lists(st.floats(1e-9, 1.0), min_size=2, max_size=30), st.floats(0.01, 0.5))
-def test_bh_order_invariant(ps, alpha):
-    assert bh_select(ps, alpha) == bh_select(ps[::-1], alpha)
 
 
 # --- empirical correlation and the covariance-aware tests --------------------
