@@ -35,10 +35,11 @@ unit response (``core_stats._unit_response``), which a permutation keeps
 centred with unit norm, so no slab is centred again.  Slabs hold only
 permutations: each observed statistic is its own product of the gene's
 columns with the response, on a row-major Z (``_observed_stats``).
-``_scored_slabs`` is the one loop that scores slabs, in bounded memory:
-each gene of a Monte Carlo replicate and ``permutation_cutoff`` concatenate
-one gene's statistics over it (``_response_stats``), and a ranking chunk
-counts, per gene, the permuted statistics that reach its observed one.
+``_scored_slabs`` is the one loop that scores slabs, in bounded memory,
+each against a whole block of genes with one product: a block of a Monte
+Carlo replicate's genes and ``permutation_cutoff``'s one gene concatenate
+their statistics over it (``_response_stats``), and a ranking chunk counts,
+per gene, the permuted statistics that reach its observed one.
 
 Marginal scores reach HC, HCm and DT on the N(0, 1) scale: their p-values
 are the two-sided normal tail, t scores included, which permutation
@@ -48,7 +49,9 @@ the t(n - 2) scale).
 A Monte Carlo replicate is G >= 1 gene panels sharing one response built
 from the first S of them: G = S = 1 for power, G = n_genes and
 S = n_signal_genes for FDR.  It is drawn in ``_draw_replicate``, which
-``rareweak simulate`` calls too, and scored in ``_replicate_stats``.  Each
+``rareweak simulate`` calls too, and scored in ``_replicate_stats``, its
+genes side by side in blocks of at most a slab's bytes, each block on one
+pass of the replicate's permutation stream.  Each
 replicate's seeds derive from the master seed and the replicate index, so
 results are identical however ``_run_chunked``, the one place work is
 split, spreads replicates over workers.
@@ -60,7 +63,7 @@ import csv
 import io
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -338,26 +341,35 @@ def _draw_replicate(scenario: Scenario, seed: int, n_genes: int = 1,
     return chain(held, map(panel, seeds[len(held):])), y, signal
 
 
-def _response_stats(X: np.ndarray, y: np.ndarray, trait_kind: str, needs: tuple[str, ...],
-                    n_perms: int, seed: int) -> dict[str, np.ndarray]:
-    """Per requested method, the statistic of the panel entries X, prepared
-    once, on y (entry 0) and on n_perms permutations of it."""
+def _response_stats(X: np.ndarray, spans: Sequence[slice], y: np.ndarray, trait_kind: str,
+                    needs: tuple[str, ...], n_perms: int, seed: int) -> dict[str, np.ndarray]:
+    """Per requested method, the (genes, 1 + n_perms) statistics of the genes
+    whose columns of the panel entries X ``spans`` mark: each gene's on y
+    (column 0), then on n_perms permutations of it.  X is prepared once, into
+    a new array, and each slab is scored against all its genes at once."""
     u = _unit_response(y)
-    block = _prepared_block(X, (slice(None),), trait_kind, needs)
+    block = _prepared_block(X, spans, trait_kind, needs)
     observed = _observed_stats(block, u, needs)
     stats = list(_scored_slabs(block, u, n_perms, seed, needs))
-    return {name: np.concatenate([observed[name]] + [s[name][0] for s in stats]) for name in needs}
+    return {name: np.column_stack([observed[name]] + [s[name] for s in stats]) for name in needs}
 
 
 def _replicate_stats(scenario: Scenario, needs: tuple[str, ...], rep_seed: int, n_perms: int,
                      n_genes: int = 1, n_signal_genes: int = 1) -> dict[str, np.ndarray]:
     """Per method, one replicate's (n_genes, 1 + n_perms) statistics: each
-    gene's observed (column 0) and permuted ones, every gene scored on the
-    replicate's one permutation stream."""
+    gene's observed (column 0) and permuted ones.  The gene panels are laid
+    side by side in blocks of at most a slab's bytes, and each block is
+    scored by ``_response_stats`` on the shared response and one pass of the
+    replicate's permutation stream, so every gene sees the same permutations."""
     panels, y, _ = _draw_replicate(scenario, rep_seed, n_genes, n_signal_genes)
-    genes = [_response_stats(X.entries, y.values, scenario.trait_kind, needs, n_perms, rep_seed)
-             for X in panels]
-    return {name: np.stack([stats[name] for stats in genes]) for name in needs}
+    L = scenario.L
+    width = _slab_width(y.values.size * L)  # genes per block
+    spans = [slice(g * L, (g + 1) * L) for g in range(width)]
+    blocks = [_response_stats(np.hstack([X.entries for X in islice(panels, width)]),
+                              spans[:min(width, n_genes - lo)], y.values, scenario.trait_kind,
+                              needs, n_perms, rep_seed)
+              for lo in range(0, n_genes, width)]
+    return {name: np.concatenate([b[name] for b in blocks]) for name in needs}
 
 
 def _replicate_chunk(scenario: Scenario, needs: tuple[str, ...], seed: int, perms_per_sim: int,
@@ -413,8 +425,8 @@ def permutation_cutoff(method: str, X, y, n_perms: int, level: float,
     Xa, yv, kind = validated_inputs(X, y)
     needs = _as_methods([method], kind)
     with one_thread():
-        stats = _response_stats(Xa, yv, kind, needs, n_perms, seed)[needs[0]]
-    return _pooled_cutoff(stats[1:], level)
+        stats = _response_stats(Xa, (slice(None),), yv, kind, needs, n_perms, seed)[needs[0]]
+    return _pooled_cutoff(stats[0, 1:], level)
 
 
 @dataclass(frozen=True)
@@ -553,6 +565,8 @@ def fdr_curve(methods: Sequence[str], scenario: Scenario,
     """
     if scenario.trait.kind != "additive":
         raise ConfigError("fdr_curve supports additive scenarios")
+    if n_genes < 1:
+        raise BadSampleSizeError(f"need n_genes >= 1, got {n_genes}")
     if not 0 <= n_signal_genes <= n_genes:
         raise DimensionMismatchError(f"need 0 <= n_signal_genes <= n_genes, got {n_signal_genes}/{n_genes}")
     if n_sims < 1:

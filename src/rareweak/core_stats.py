@@ -109,10 +109,6 @@ class GenotypeMatrix:
     def n_snps(self) -> int:
         return self.entries.shape[1]
 
-    def maf_hat(self) -> np.ndarray:
-        """Per-column empirical minor-allele frequency (column mean / 2)."""
-        return self.entries.mean(axis=0) / 2.0
-
 
 @dataclass(frozen=True)
 class Phenotype:

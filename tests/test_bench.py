@@ -502,6 +502,18 @@ def test_an_fdr_pool_under_the_floor_is_refused_before_any_panel_is_drawn(monkey
                   seed=3, perms_per_sim=13)
 
 
+@pytest.mark.parametrize("n_genes", [0, -2])
+def test_an_fdr_run_with_no_genes_is_refused_before_any_panel_is_drawn(monkeypatch, n_genes):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a panel was drawn")
+    monkeypatch.setattr(bench, "simulate_genotypes", refuse)
+    sc = quick_scenario(L=8, n=100)
+    # refused as a gene count, not as the empty pool or signal count it leads to
+    with pytest.raises(BadSampleSizeError, match=f"need n_genes >= 1, got {n_genes}"):
+        fdr_curve(["HC"], sc, levels=[0.2], n_sims=2, n_genes=n_genes, n_signal_genes=0,
+                  seed=3, perms_per_sim=13)
+
+
 # --- gene ranking -------------------------------------------------------------
 
 
@@ -929,6 +941,76 @@ def test_a_ranking_chunk_holds_one_slab_at_a_time(monkeypatch, n, n_genes, size,
     # permutation's index, its gathered copy and the interpreter's own objects
     bound = 8 * (n * W + n * width + W * width + n_genes * width * len(methods)) + 2**16
     assert peak <= bound
+
+
+def _blocks_of_three_genes(monkeypatch, n, L):
+    """Slab bytes patched so that a replicate's block holds 3 genes of L SNPs
+    and a slab 3 L permutations."""
+    _slab_columns(monkeypatch, n, 3 * L)
+    assert bench._slab_width(n * L) == 3
+
+
+def test_a_replicate_scores_its_genes_in_blocks_on_one_permutation_pass_each(monkeypatch):
+    n, L, G, P = 100, 10, 8, 70
+    _blocks_of_three_genes(monkeypatch, n, L)
+    scenario = quick_scenario(L=L, n=n, ld=LdSpec.poly_decay(0.5, 1.0))
+    needs = methods_for("quantitative")
+    passes, widths = [], []
+    draw, prepare = bench._permutation_slabs, bench._prepared_block
+
+    def pass_recorder(*args):
+        passes.append(1)
+        return draw(*args)
+
+    def width_recorder(X, *args, **kwargs):
+        widths.append(X.shape[1])
+        return prepare(X, *args, **kwargs)
+
+    monkeypatch.setattr(bench, "_permutation_slabs", pass_recorder)
+    monkeypatch.setattr(bench, "_prepared_block", width_recorder)
+    stats = bench._replicate_stats(scenario, needs, 17, P, G, 2)
+    # blocks of 3, 3 and 2 genes: one pass of the stream each, not one per gene
+    assert len(passes) == 3 and widths == [3 * L, 3 * L, 2 * L]
+    assert all(stats[m].shape == (G, 1 + P) for m in needs)
+    panels, y, _ = bench._draw_replicate(scenario, 17, G, 2)
+    for g, X in enumerate(panels):
+        alone = bench._response_stats(X.entries, (slice(None),), y.values, "quantitative",
+                                      needs, P, 17)
+        for m in needs:
+            assert stats[m][g].tobytes() == alone[m][0].tobytes(), (m, g)
+
+
+@pytest.mark.parametrize("n_genes", [8, 30])
+@pytest.mark.parametrize("methods", [("HC",), METHOD_NAMES])
+def test_a_replicate_holds_one_block_at_a_time(monkeypatch, n_genes, methods):
+    n, L, n_perms = 400, 10, 90  # blocks of 3 genes, three slabs per block
+    _blocks_of_three_genes(monkeypatch, n, L)
+    scenario = quick_scenario(L=L, n=n)
+    tracemalloc.start()
+    try:
+        bench._replicate_stats(scenario, methods, 5, n_perms, n_genes, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    W = width = 3 * L
+    # a block's panel entries and its Z, one slab, one product and one slab's
+    # statistics; the replicate's statistics twice (per block, then joined);
+    # one panel's draw (its Philox words, counts and entries); 64 KiB for the
+    # interpreter's own objects
+    bound = (8 * (2 * n * W + n * width + W * width + 3 * width * len(methods))
+             + 2 * 8 * n_genes * (1 + n_perms) * len(methods) + 4 * 8 * n * L + 2**16)
+    assert peak <= bound
+
+
+def test_scoring_leaves_the_callers_panel_unchanged():
+    X, y = rank_panel(seed=87, n=150, L=12)
+    assert X.dtype == np.float64 and X.flags["C_CONTIGUOUS"]
+    assert validated_inputs(X, y)[0] is X  # the caller's own array reaches the kernels
+    before = X.copy()
+    for method in ("HC", "QT"):
+        permutation_cutoff(method, X, y, n_perms=400, level=0.05, seed=2)
+    gene_set_statistics([("a", range(6)), ("b", range(4, 12))], X, y, list(METHOD_NAMES))
+    assert X.tobytes() == before.tobytes()
 
 
 def test_slab_width_follows_the_byte_budget():

@@ -709,6 +709,14 @@ def test_exit_codes(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "BadSampleSizeError" and err["exit_code"] == 4
 
+    no_genes = write(tmp_path / "g.cfg",
+                     "scenario.L = 10\nscenario.n = 50\nscenario.q = 0.4\n"
+                     "scenario.k = 2\nscenario.beta = 0.5\nexecution.n_sims = 5\n"
+                     "fdr.n_genes = 0\nfdr.n_signal_genes = 0\n")
+    assert main(["fdr", "--config", no_genes, "--out", str(tmp_path)]) == 4
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "BadSampleSizeError" and "n_genes" in err["message"]
+
     # an allele frequency outside (0, 1), through the API and the command line
     with pytest.raises(NonFiniteInputError):
         Scenario(L=10, q=1.5, ld=LdSpec.identity(), trait=TraitModel.additive(1.0),
